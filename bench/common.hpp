@@ -8,10 +8,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "anb/anb/pipeline.hpp"
 #include "anb/obs/obs.hpp"
+#include "anb/util/simd.hpp"
 
 namespace anb::bench {
 
@@ -74,6 +77,36 @@ inline void export_obs(const std::string& stem) {
   obs::write_metrics_csv(results_path(stem + "_metrics.csv"));
   if (obs::trace_enabled() && !obs::write_requested_trace())
     obs::write_trace(results_path(stem + "_trace.json"));
+}
+
+/// CPU model name from /proc/cpuinfo ("unknown" elsewhere), with commas
+/// dropped so it fits a CSV cell.
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(' ', colon + 1);
+    if (start == std::string::npos) break;
+    std::string model = line.substr(start);
+    for (char& c : model)
+      if (c == ',') c = ' ';
+    return model;
+  }
+  return "unknown";
+}
+
+/// Host columns for result CSVs, so a committed number names the machine
+/// and build it came from: header and one row's matching cells.
+inline const char* host_csv_header() {
+  return "nproc,cpu_model,simd_target,build_type";
+}
+inline std::string host_csv_cells() {
+  return std::to_string(std::thread::hardware_concurrency()) + "," +
+         cpu_model() + "," + simd::target_name(simd::active_target()) + "," +
+         ANB_BUILD_TYPE;
 }
 
 inline void print_header(const char* experiment, const char* paper_ref) {

@@ -12,7 +12,9 @@
 // Usage: fit_throughput [n_rows] [--trace]
 //                                  (one size; default 1k/5k/20k sweep,
 //                                   ANB_FAST=1 -> 1000 only)
-// Output: results/fit_throughput.csv + fit_throughput_metrics.csv
+// Output: results/fit_throughput.csv (one row per family × size, plus host
+//         columns: nproc, CPU model, SIMD target, build type)
+//         + fit_throughput_metrics.csv
 //         (+ fit_throughput_trace.json with --trace / ANB_TRACE)
 
 #include <chrono>
@@ -170,15 +172,17 @@ int run(int argc, char** argv) {
   }
 
   const std::string path = results_path("fit_throughput.csv");
+  const std::string host = host_csv_cells();
   std::string csv =
-      "name,rows,threads,serial_secs,parallel_secs,speedup,bit_identical\n";
+      "name,rows,threads,serial_secs,parallel_secs,speedup,bit_identical," +
+      std::string(host_csv_header()) + "\n";
   for (const auto& r : results) {
     char line[256];
-    std::snprintf(line, sizeof(line), "%s,%zu,%u,%.4f,%.4f,%.3f,%s\n",
+    std::snprintf(line, sizeof(line), "%s,%zu,%u,%.4f,%.4f,%.3f,%s,",
                   r.name.c_str(), r.rows, r.threads, r.serial_secs,
                   r.parallel_secs, r.serial_secs / r.parallel_secs,
                   r.bit_identical ? "yes" : "no");
-    csv += line;
+    csv += line + host + "\n";
   }
   write_text_file(path, csv);
   std::printf("wrote %s\n", path.c_str());

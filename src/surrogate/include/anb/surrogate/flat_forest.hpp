@@ -56,6 +56,10 @@ struct FlatNode {
   std::int32_t feature = 0;
   std::int32_t left = -1;
   std::int32_t right = -1;
+  /// Explicit, always-zero tail padding: every one of the 24 bytes the
+  /// artifact stores is defined, so same-seed builds are byte-identical.
+  /// Readers ignore it (older artifacts hold arbitrary bytes here).
+  std::int32_t pad = 0;
 };
 
 // The binary artifact stores FlatNode arrays verbatim, so the layout is

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <string>
 
 #include "anb/util/error.hpp"
+#include "anb/util/io.hpp"
 
 namespace anb {
 namespace {
@@ -51,6 +54,27 @@ TEST(PipelineTest, DeterministicAcrossRuns) {
   }
   EXPECT_DOUBLE_EQ(a.test_metrics.at("ANB-Acc").kendall_tau,
                    b.test_metrics.at("ANB-Acc").kendall_tau);
+}
+
+TEST(PipelineTest, SameSeedArtifactsAreByteIdentical) {
+  // Every byte of the .anbb artifact is a function of the seeds: two
+  // same-seed builds (surrogates fitted on worker threads) must save to
+  // identical files, struct padding included.
+  PipelineOptions options;
+  options.n_archs = 250;
+  const std::string path_a = ::testing::TempDir() + "pipeline_same_seed_a.anbb";
+  const std::string path_b = ::testing::TempDir() + "pipeline_same_seed_b.anbb";
+  construct_benchmark(options).bench.save_binary(path_a);
+  construct_benchmark(options).bench.save_binary(path_b);
+  const auto a = io::Buffer::read_file(path_a);
+  const auto b = io::Buffer::read_file(path_b);
+  ASSERT_EQ(a->size(), b->size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < a->size(); ++i)
+    differing += a->data()[i] != b->data()[i] ? 1 : 0;
+  EXPECT_EQ(differing, 0u) << "of " << a->size() << " bytes";
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
 }
 
 TEST(PipelineTest, WorldSeedChangesBenchmark) {

@@ -148,6 +148,9 @@ anb.collect.rejected_outliers = 0
 anb.collect.retries = 0
 anb.collect.timeouts = 0
 anb.collect.transient_errors = 0
+anb.fit.columns.constant = 0
+anb.fit.columns.general = 0
+anb.fit.columns.two_valued = 567
 anb.fit.gbdt.count = 9
 anb.parallel.calls = 20
 anb.parallel.items = 3076
