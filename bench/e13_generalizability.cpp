@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   Rng fit3(102);
   acc_model->fit(splits.train, fit3);
   // Hand-rolled RS/RE loop over the typed FbnetArchitecture view (the
-  // space-generic optimizers cover this path in bench/e14_cross_space).
+  // space-generic optimizers cover this path in bench/e15_cross_space).
   auto incumbent_curve = [&](bool evolutionary, std::uint64_t seed) {
     Rng search_rng(seed);
     std::vector<double> curve;

@@ -1,4 +1,4 @@
-// E14b — cross-space generalizability of the whole benchmark stack.
+// E15 — cross-space generalizability of the whole benchmark stack.
 //
 // The api_redesign claim: every stage (collection, surrogate fit, query,
 // NAS search) is generic over the registered search spaces. This harness
@@ -14,7 +14,7 @@
 //     values over the trajectory ("does zero-cost search explore the same
 //     landscape real measurement would show it?").
 //
-// Results are committed to results/e14_cross_space.csv.
+// Results are committed to results/e15_cross_space.csv.
 
 #include <cstdio>
 #include <iostream>
@@ -50,7 +50,7 @@ double true_value(const SpaceSim& sim, const TrainingScheme& p_star,
     case PerfMetric::kEnergy: return device.energy_mj_per_image(ir);
     case PerfMetric::kPeakMemory: return device.peak_memory_mb(ir);
   }
-  throw Error("e14_cross_space: unknown metric for " + dataset);
+  throw Error("e15_cross_space: unknown metric for " + dataset);
 }
 
 struct Row {
@@ -66,7 +66,7 @@ struct Row {
 int main(int argc, char** argv) {
   anb::bench::parse_obs_flags(argc, argv);
   using namespace anb;
-  bench::print_header("E14b: cross-space surrogate + trajectory fidelity",
+  bench::print_header("E15: cross-space surrogate + trajectory fidelity",
                       "DESIGN.md Search-space interface");
   register_builtin_spaces();
 
@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
     csv.add_row({row.space, row.dataset, std::to_string(row.r2),
                  std::to_string(row.tau), std::to_string(row.traj_tau)});
   }
-  csv.save(bench::results_path("e14_cross_space.csv"));
-  std::printf("\nWritten to results/e14_cross_space.csv\n");
-  anb::bench::export_obs("e14_cross_space");
+  csv.save(bench::results_path("e15_cross_space.csv"));
+  std::printf("\nWritten to results/e15_cross_space.csv\n");
+  anb::bench::export_obs("e15_cross_space");
   return 0;
 }

@@ -126,12 +126,12 @@ RowResult bench_model(const std::string& name, const Surrogate& model,
 
 // ---------------------------------------------------------------------------
 // Per-engine descent throughput (DESIGN.md "SIMD descent"). Each flat-
-// forest family runs serial predict_batch under every forced descent
-// engine; engines a fitted forest cannot support (shape outside the
-// quantized/masked eligibility rules) are reported as unavailable rather
-// than timed. Speedups are relative to the interleaved walk — the
-// pre-SIMD baseline — which keeps them comparable across hosts even
-// though absolute rows/sec are not.
+// forest family runs serial predict_batch under both forced descent
+// engines; a fitted forest the masked engine cannot support (shape outside
+// its eligibility rules) is reported as unavailable rather than timed.
+// Speedups are relative to the interleaved walk — the pre-SIMD baseline —
+// which keeps them comparable across hosts even though absolute rows/sec
+// are not.
 // ---------------------------------------------------------------------------
 
 struct PathResult {
@@ -153,8 +153,8 @@ std::vector<PathResult> bench_paths(const std::string& name,
     ScopedDescentPath sp(DescentPath::kInterleaved);
     model.predict_batch(rows, num_features, ref);
   }
-  const DescentPath kPaths[] = {DescentPath::kInterleaved, DescentPath::kSimd,
-                                DescentPath::kQuantized, DescentPath::kMasked};
+  const DescentPath kPaths[] = {DescentPath::kInterleaved,
+                                DescentPath::kMasked};
   std::vector<PathResult> results;
   for (const DescentPath path : kPaths) {
     PathResult r;
@@ -276,16 +276,27 @@ int run(int argc, char** argv) {
   }
 
   // Perf gate: on AVX2 hardware at full size, the masked engine must beat
-  // the interleaved walk by >= 3x wherever it is available (the PR's
-  // acceptance floor; ~7x measured on dev hardware, so 3x leaves headroom
-  // for noisy CI neighbours). Skipped in fast/small runs where fixed
-  // costs dominate, and on non-AVX2 hosts, where auto dispatch falls back
-  // to the interleaved walk itself (>= 1x by construction).
+  // the interleaved walk by >= 3x wherever it is available (3.5-6.3x
+  // measured on a 4-core AVX2 host, so 3x leaves headroom for noisy CI
+  // neighbours), and it must be available for the boosted families —
+  // their default shapes are eligible by construction, so a miss there
+  // means kAuto silently lost the engine. Skipped in fast/small runs where
+  // fixed costs dominate, and on non-AVX2 hosts, where auto dispatch falls
+  // back to the interleaved walk itself (>= 1x by construction).
   bool gate_ok = true;
   const bool gate_active = !fast_mode() && n_rows >= 4096 &&
                            simd::cpu_supports(simd::Target::kAvx2);
   for (const PathResult& r : path_results) {
-    if (!r.available || r.path != "masked" || !gate_active) continue;
+    if (r.path != "masked" || !gate_active) continue;
+    if (!r.available) {
+      if (r.model == "gbdt" || r.model == "hist_gbdt") {
+        std::printf("FAILED: %s masked engine unavailable (default boosted "
+                    "forests must be eligible)\n",
+                    r.model.c_str());
+        gate_ok = false;
+      }
+      continue;
+    }
     if (r.speedup < 3.0) {
       std::printf("FAILED: %s masked engine %.2fx interleaved (< 3x floor)\n",
                   r.model.c_str(), r.speedup);

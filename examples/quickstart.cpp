@@ -8,6 +8,7 @@
 
 #include "anb/anb/pipeline.hpp"
 #include "anb/obs/obs.hpp"
+#include "anb/searchspace/space.hpp"
 #include "anb/searchspace/zoo.hpp"
 
 int main() {
@@ -25,15 +26,16 @@ int main() {
               "zero-cost)\n\n",
               result.data.total_gpu_hours);
 
-  // 2. Describe an architecture: 7 blocks x {expansion, kernel, layers, SE}.
-  Architecture my_arch = Architecture::from_string(
+  // 2. Describe an architecture: 7 blocks x {expansion, kernel, layers, SE},
+  //    then lift it to the space-tagged genotype every query takes.
+  const Architecture my_blocks = Architecture::from_string(
       "e1k3L1s0-e6k3L2s0-e6k5L2s1-e6k3L3s1-e6k5L3s1-e6k5L3s1-e6k3L1s1");
+  const Arch my_arch = MnasSpace::from_blocks(my_blocks);
 
   // 3. Zero-cost queries.
-  const Architecture b0 = effnet_b0_like().arch;
+  const Arch b0 = MnasSpace::from_blocks(effnet_b0_like().arch);
   for (const auto& [name, arch] :
-       {std::pair<const char*, Architecture>{"my_arch", my_arch},
-        {"effnet-b0", b0}}) {
+       {std::pair<const char*, Arch>{"my_arch", my_arch}, {"effnet-b0", b0}}) {
     std::printf("%-10s top-1(pred) = %.4f", name,
                 result.bench.query_accuracy(arch));
     std::printf("  | A100 %.0f img/s | TPUv3 %.0f img/s | ZCU102 %.2f ms\n",
@@ -46,8 +48,8 @@ int main() {
   TrainingSimulator sim(options.world_seed);
   std::printf("\nwithout the benchmark, evaluating my_arch would cost %.1f "
               "GPU-hours (proxy)\nor %.1f GPU-hours (reference scheme)\n",
-              sim.training_cost_hours(my_arch, result.p_star),
-              sim.training_cost_hours(my_arch, reference_scheme()));
+              sim.training_cost_hours(my_blocks, result.p_star),
+              sim.training_cost_hours(my_blocks, reference_scheme()));
 
   // 5. Persist and reopen. The .anbb extension selects the zero-copy
   //    binary container: open() mmaps the node arrays in place, so the

@@ -54,6 +54,8 @@ class Gbdt final : public Surrogate {
 
   const GbdtParams& params() const { return params_; }
   std::size_t num_trees() const { return flat_.num_trees(); }
+  /// The flattened forest batch prediction runs on (engine eligibility).
+  const FlatForest& flat_forest() const { return flat_; }
 
  private:
   void fit_impl(const Dataset& train, const ColumnIndex& columns, Rng& rng);

@@ -62,6 +62,8 @@ class HistGbdt final : public Surrogate {
 
   const HistGbdtParams& params() const { return params_; }
   std::size_t num_trees() const { return flat_.num_trees(); }
+  /// The flattened forest batch prediction runs on (engine eligibility).
+  const FlatForest& flat_forest() const { return flat_; }
 
  private:
   void rebuild_flat();

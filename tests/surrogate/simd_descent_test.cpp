@@ -1,5 +1,5 @@
-// Differential suite for the SIMD descent engines (DESIGN.md "SIMD
-// descent"): every engine x dispatch target x batch shape must reproduce
+// Differential suite for the descent engines (DESIGN.md "SIMD descent"):
+// every engine x dispatch target x batch shape must reproduce
 // the scalar tree walk BIT FOR BIT — including NaN and infinity rows and
 // feature values that sit exactly on a split threshold — and forcing an
 // engine a forest cannot support must throw instead of degrading.
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "anb/obs/registry.hpp"
+#include "anb/searchspace/space.hpp"
 #include "anb/surrogate/gbdt.hpp"
 #include "anb/surrogate/hist_gbdt.hpp"
 #include "anb/surrogate/random_forest.hpp"
@@ -122,10 +123,9 @@ void expect_paths_agree(const FlatForest& forest,
 }
 
 const std::vector<DescentPath> kAllPaths = {
-    DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kSimd,
-    DescentPath::kQuantized, DescentPath::kMasked};
-const std::vector<DescentPath> kUnquantizedPaths = {
-    DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kSimd};
+    DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kMasked};
+const std::vector<DescentPath> kUnmaskedPaths = {DescentPath::kAuto,
+                                                 DescentPath::kInterleaved};
 
 TEST(SimdDescentTest, SpecialValuesRouteIdentically) {
   std::vector<RegressionTree> trees;
@@ -133,7 +133,6 @@ TEST(SimdDescentTest, SpecialValuesRouteIdentically) {
   trees.push_back(make_split_tree(0.125));
   trees.push_back(make_chain_tree(8, -2.0));
   const FlatForest forest(trees);
-  ASSERT_TRUE(forest.quantized_available());
   ASSERT_TRUE(forest.masked_available());
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -178,17 +177,12 @@ TEST(SimdDescentTest, NineLeavesDisableMaskedOnly) {
   std::vector<RegressionTree> trees;
   trees.push_back(make_chain_tree(9, 0.0));
   const FlatForest forest(trees);
-  EXPECT_TRUE(forest.quantized_available());
   EXPECT_FALSE(forest.masked_available());
 
   std::vector<double> rows(16);
   for (std::size_t i = 0; i < rows.size(); ++i)
     rows[i] = static_cast<double>(i % 10);
-  expect_paths_agree(
-      forest, rows, 1,
-      {DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kSimd,
-       DescentPath::kQuantized},
-      "nine-leaves");
+  expect_paths_agree(forest, rows, 1, kUnmaskedPaths, "nine-leaves");
 
   ScopedDescentPath sp(DescentPath::kMasked);
   std::vector<double> out(16, 0.0);
@@ -197,34 +191,27 @@ TEST(SimdDescentTest, NineLeavesDisableMaskedOnly) {
 
 TEST(SimdDescentTest, ManyThresholdsDisableQuantizedAndMasked) {
   // 300 leaves -> 299 distinct thresholds on feature 0: past the 255-code
-  // budget, so only the full-precision engines may run.
+  // budget, so only the full-precision interleaved walk may run.
   std::vector<RegressionTree> trees;
   trees.push_back(make_chain_tree(300, 0.0));
   const FlatForest forest(trees);
-  EXPECT_FALSE(forest.quantized_available());
   EXPECT_FALSE(forest.masked_available());
 
   std::vector<double> rows(24);
   for (std::size_t i = 0; i < rows.size(); ++i)
     rows[i] = static_cast<double>(i) * 17.0;
-  expect_paths_agree(forest, rows, 1, kUnquantizedPaths, "many-thresholds");
+  expect_paths_agree(forest, rows, 1, kUnmaskedPaths, "many-thresholds");
 
+  ScopedDescentPath sp(DescentPath::kMasked);
   std::vector<double> out(rows.size(), 0.0);
-  {
-    ScopedDescentPath sp(DescentPath::kQuantized);
-    EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error);
-  }
-  {
-    ScopedDescentPath sp(DescentPath::kMasked);
-    EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error);
-  }
+  EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error);
 }
 
 // ---------------------------------------------------------------------------
 // Fitted families end to end: model.predict (scalar walk) vs
 // predict_batch / predict_matrix under every engine. Discrete feature
-// values keep the per-feature threshold count small, so quantization is
-// available by construction for every family below.
+// values keep the per-feature threshold count small, so only the leaf
+// count decides masked eligibility for the families below.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kNumFeatures = 7;
@@ -331,9 +318,40 @@ TEST(SimdDescentTest, RandomForestFamily) {
   Rng rng(42);
   model.fit(train, rng);
   // Masked eligibility depends on the fitted shapes, so the forced-path
-  // sweep stops at kQuantized (guaranteed by the discrete features).
-  run_family(model, {DescentPath::kAuto, DescentPath::kInterleaved,
-                     DescentPath::kSimd, DescentPath::kQuantized});
+  // sweep leaves kMasked out.
+  run_family(model, kUnmaskedPaths);
+}
+
+// ---------------------------------------------------------------------------
+// kAuto only leaves the interleaved walk through the masked engine, so the
+// served families must stay eligible at their default parameters: a table
+// or eligibility change that silently drops them would keep every value
+// exact and lose the engine's speedup without any other test noticing.
+// ---------------------------------------------------------------------------
+
+Dataset make_mnas_dataset(int n, std::uint64_t seed) {
+  const MnasSpace& sp = MnasSpace::instance();
+  const auto d = static_cast<std::size_t>(sp.feature_dim());
+  Dataset ds(d);
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    const std::vector<double> x = sp.features(sp.sample(rng));
+    double y = 0.1 * rng.normal();
+    for (std::size_t j = 0; j < d; ++j) y += static_cast<double>(j % 7) * x[j];
+    ds.add(x, y + 2.0 * x[0] * x[7] - 1.5 * x[3] * x[20]);
+  }
+  return ds;
+}
+
+TEST(SimdDescentTest, DefaultBoostedFamiliesAreMaskedEligible) {
+  const Dataset train = make_mnas_dataset(300, 61);
+  Rng rng(62);
+  Gbdt gbdt;
+  gbdt.fit(train, rng);
+  EXPECT_TRUE(gbdt.flat_forest().masked_available());
+  HistGbdt hist;
+  hist.fit(train, rng);
+  EXPECT_TRUE(hist.flat_forest().masked_available());
 }
 
 // ---------------------------------------------------------------------------
