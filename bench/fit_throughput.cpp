@@ -5,7 +5,7 @@
 // datasets over the real 63-dim architecture encoding, once pinned to a
 // single thread and once with all hardware threads, and reports the
 // speedup. Doubles as a differential harness: the binary exits non-zero
-// unless the serialized model fitted at every thread count is
+// unless the binary image of the model fitted at every thread count is
 // byte-identical to the single-threaded one — the determinism contract the
 // engine is built on.
 //
@@ -69,7 +69,7 @@ Dataset make_dataset(int n, std::uint64_t seed, std::span<const double> w,
 }
 
 /// One family at one dataset size: fit wall-clock at 1 thread and at all
-/// hardware threads, plus whether the two models serialize identically.
+/// hardware threads, plus whether the two models' binary images match.
 struct RowResult {
   std::string name;
   std::size_t rows = 0;
@@ -80,8 +80,8 @@ struct RowResult {
 };
 
 /// Fits a fresh model from `make_model` with the given pinned thread count
-/// and returns {seconds, serialized payload}. The fit seed is fixed per
-/// call site, so any payload difference is a determinism violation.
+/// and returns {seconds, binary image}. The fit seed is fixed per call
+/// site, so any image difference is a determinism violation.
 template <typename MakeModel>
 std::pair<double, std::string> fit_once(const MakeModel& make_model,
                                         const Dataset& train,
@@ -92,7 +92,7 @@ std::pair<double, std::string> fit_once(const MakeModel& make_model,
   Rng rng(fit_seed);
   const double secs = seconds_of([&] { model.fit(train, rng); });
   set_default_num_threads(0);
-  return {secs, model.to_json().dump()};
+  return {secs, binary_image(model)};
 }
 
 template <typename MakeModel>
@@ -102,13 +102,13 @@ RowResult bench_family(const std::string& name, const MakeModel& make_model,
   r.name = name;
   r.rows = train.size();
   r.threads = std::max(1u, std::thread::hardware_concurrency());
-  const auto [serial_secs, serial_json] =
+  const auto [serial_secs, serial_image] =
       fit_once(make_model, train, fit_seed, 1);
-  const auto [parallel_secs, parallel_json] =
+  const auto [parallel_secs, parallel_image] =
       fit_once(make_model, train, fit_seed, r.threads);
   r.serial_secs = serial_secs;
   r.parallel_secs = parallel_secs;
-  r.bit_identical = serial_json == parallel_json;
+  r.bit_identical = serial_image == parallel_image;
   return r;
 }
 

@@ -2,12 +2,12 @@
 // "Binary artifact format").
 //
 // Measures how long it takes to get a queryable AccelNASBench from disk
-// through the three load paths — JSON text parse, binary heap read, and
-// zero-copy mmap open — and verifies the tri-modal differential contract:
-// all three loaded benchmarks must produce bit-identical predictions for
-// every installed surrogate, scalar and batched. The binary exits
-// non-zero on any divergence, and (at full size) when the mmap open fails
-// the >= 10x speedup target over the text parse.
+// through the two load modes — heap read and zero-copy mmap — and
+// verifies the differential contract: both loaded benchmarks must produce
+// predictions bit-identical to the in-memory benchmark that was saved,
+// for every installed surrogate, scalar and batched. The binary exits
+// non-zero on any divergence, and (at full size) when the mmap open is
+// slower than the heap read.
 //
 // Usage: load_latency [n_probes]   (default 200; ANB_FAST=1 -> 50)
 // Output: results/load_latency.csv
@@ -144,57 +144,44 @@ int run(int argc, char** argv) {
   const bool has_arg = argc > 1 && std::strcmp(argv[1], "--trace") != 0;
   const int n_probes = has_arg ? std::atoi(argv[1]) : (fast_mode() ? 50 : 200);
   ANB_CHECK(n_probes >= 1, "load_latency: n_probes must be >= 1");
-  print_header("benchmark load latency: text vs binary vs mmap",
+  print_header("benchmark load latency: heap read vs mmap",
                "zero-copy .anbb artifact (this repo's extension)");
 
   const AccelNASBench bench = make_benchmark();
-  const std::string text_path = scratch_path("anb_load_latency.json");
   const std::string anbb_path = scratch_path("anb_load_latency.anbb");
-  bench.save(text_path);
   bench.save_binary(anbb_path);
-  const auto text_size = io::Buffer::read_file(text_path)->size();
-  const auto anbb_size = io::Buffer::read_file(anbb_path)->size();
-  std::printf("artifact sizes: text=%zu bytes, anbb=%zu bytes (%.2fx)\n",
-              text_size, anbb_size,
-              static_cast<double>(text_size) /
-                  static_cast<double>(anbb_size));
+  std::printf("artifact size: %zu bytes\n",
+              io::Buffer::read_file(anbb_path)->size());
 
   // Timed loads. Each call constructs a complete benchmark object; the
   // mmap path defers payload reads to first query, which is exactly the
   // cold-start cost a NAS run pays before its first query.
-  Mode text{"text", 0.0, false};
   Mode heap{"binary_read", 0.0, false};
   Mode mapped{"binary_mmap", 0.0, false};
-  text.seconds =
-      time_per_call([&] { (void)AccelNASBench::load(text_path); });
   heap.seconds = time_per_call(
-      [&] { (void)AccelNASBench::load_binary(anbb_path, io::MapMode::kCopy); });
+      [&] { (void)AccelNASBench::open(anbb_path, io::MapMode::kCopy); });
   mapped.seconds = time_per_call(
       [&] { (void)AccelNASBench::open(anbb_path, io::MapMode::kMap); });
 
-  // Tri-modal differential check on freshly loaded instances.
+  // Differential check of freshly loaded instances against the saved one.
   Rng prng(hash_combine(kWorldSeed, 3));
   std::vector<Arch> probes;
   probes.reserve(static_cast<std::size_t>(n_probes));
   for (int i = 0; i < n_probes; ++i)
     probes.push_back(MnasSpace::instance().sample(prng));
-  const AccelNASBench from_text = AccelNASBench::load(text_path);
-  const AccelNASBench from_heap =
-      AccelNASBench::load_binary(anbb_path, io::MapMode::kCopy);
-  const AccelNASBench from_map =
-      AccelNASBench::open(anbb_path, io::MapMode::kMap);
-  text.identical = true;  // reference mode
-  heap.identical = identical_predictions(from_text, from_heap, probes);
-  mapped.identical = identical_predictions(from_text, from_map, probes);
+  heap.identical = identical_predictions(
+      bench, AccelNASBench::open(anbb_path, io::MapMode::kCopy), probes);
+  mapped.identical = identical_predictions(
+      bench, AccelNASBench::open(anbb_path, io::MapMode::kMap), probes);
 
-  std::string csv = "mode,load_seconds,speedup_vs_text,identical\n";
-  for (const Mode& m : {text, heap, mapped}) {
-    std::printf("%-12s %12.6f s/load  %8.1fx vs text  identical=%s\n",
-                m.name.c_str(), m.seconds, text.seconds / m.seconds,
+  std::string csv = "mode,load_seconds,speedup_vs_read,identical\n";
+  for (const Mode& m : {heap, mapped}) {
+    std::printf("%-12s %12.6f s/load  %8.1fx vs read  identical=%s\n",
+                m.name.c_str(), m.seconds, heap.seconds / m.seconds,
                 m.identical ? "yes" : "NO");
     char line[160];
     std::snprintf(line, sizeof(line), "%s,%.9f,%.3f,%s\n", m.name.c_str(),
-                  m.seconds, text.seconds / m.seconds,
+                  m.seconds, heap.seconds / m.seconds,
                   m.identical ? "yes" : "no");
     csv += line;
   }
@@ -202,23 +189,23 @@ int run(int argc, char** argv) {
   write_text_file(path, csv);
   std::printf("wrote %s\n", path.c_str());
 
-  obs::gauge("anb.load.text_seconds").set(text.seconds);
   obs::gauge("anb.load.binary_seconds").set(heap.seconds);
   obs::gauge("anb.load.mmap_seconds").set(mapped.seconds);
   export_obs("load_latency");
 
   if (!heap.identical || !mapped.identical) {
-    std::printf("FAILED: binary/mmap predictions diverged from text\n");
+    std::printf("FAILED: loaded predictions diverged from the saved "
+                "benchmark\n");
     return 1;
   }
-  const double mmap_speedup = text.seconds / mapped.seconds;
-  if (!fast_mode() && mmap_speedup < 10.0) {
-    // The zero-copy promise: at realistic artifact sizes, mapping must
-    // beat re-parsing by an order of magnitude. Smoke runs (tiny models,
-    // timer noise) only check the differential contract.
-    std::printf("FAILED: mmap open only %.1fx faster than text parse "
-                "(target >= 10x)\n",
-                mmap_speedup);
+  if (!fast_mode() && mapped.seconds > heap.seconds) {
+    // The zero-copy promise: at realistic artifact sizes, mapping the
+    // sections in place must not lose to copying them onto the heap.
+    // Smoke runs (tiny models, timer noise) only check the differential
+    // contract.
+    std::printf("FAILED: mmap open (%.6f s) slower than heap read "
+                "(%.6f s)\n",
+                mapped.seconds, heap.seconds);
     return 1;
   }
   return 0;

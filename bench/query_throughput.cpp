@@ -33,6 +33,7 @@
 #include "anb/surrogate/hist_gbdt.hpp"
 #include "anb/surrogate/random_forest.hpp"
 #include "anb/surrogate/svr.hpp"
+#include "anb/util/binary.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/simd.hpp"
 #include "common.hpp"
@@ -308,7 +309,14 @@ int run(int argc, char** argv) {
   // scalar loop with the cache disabled, then a cold batched call (all
   // misses) and a warm one (all hits).
   AccelNASBench nasbench;
-  nasbench.set_accuracy_surrogate(surrogate_from_json(gbdt.to_json()));
+  {
+    // The benchmark owns its surrogate: install a copy of gbdt loaded back
+    // from its in-memory .anbb image.
+    bin::Writer writer;
+    const Json meta = gbdt.to_binary(writer);
+    nasbench.set_accuracy_surrogate(surrogate_from_binary(
+        meta, bin::Reader(io::Buffer::from_bytes(writer.finish()))));
+  }
   const std::size_t n = archs.size();
   std::vector<double> scalar_vals(n);
 
@@ -379,23 +387,31 @@ int run(int argc, char** argv) {
   // records how engine speedups evolve across revisions. CI gates on the
   // speedup column — a same-host ratio, comparable across hardware —
   // not absolute rows/sec (tools/check_throughput_trajectory.py).
-  const char* rev_env = std::getenv("ANB_GIT_REV");
-  const std::string rev = rev_env != nullptr ? rev_env : "unknown";
+  // Rows without a revision cannot be attributed, so a run without
+  // ANB_GIT_REV prints them and leaves the committed file alone.
+  const char* rev = std::getenv("ANB_GIT_REV");
   const std::string traj_path =
       results_path("query_throughput_trajectory.csv");
-  std::string traj;
-  if (std::filesystem::exists(traj_path)) traj = read_text_file(traj_path);
-  if (traj.empty())
-    traj = "git_rev,model,path,rows_per_sec,speedup_vs_interleaved\n";
+  std::string traj_rows;
   for (const PathResult& r : path_results) {
     if (!r.available) continue;
     char line[256];
-    std::snprintf(line, sizeof(line), "%s,%s,%s,%.0f,%.3f\n", rev.c_str(),
-                  r.model.c_str(), r.path.c_str(), r.rps, r.speedup);
-    traj += line;
+    std::snprintf(line, sizeof(line), "%s,%s,%s,%.0f,%.3f\n",
+                  rev != nullptr ? rev : "unknown", r.model.c_str(),
+                  r.path.c_str(), r.rps, r.speedup);
+    traj_rows += line;
   }
-  write_text_file(traj_path, traj);
-  std::printf("appended %s (rev %s)\n", traj_path.c_str(), rev.c_str());
+  if (rev == nullptr) {
+    std::printf("ANB_GIT_REV unset; not appending to %s:\n%s",
+                traj_path.c_str(), traj_rows.c_str());
+  } else {
+    std::string traj;
+    if (std::filesystem::exists(traj_path)) traj = read_text_file(traj_path);
+    if (traj.empty())
+      traj = "git_rev,model,path,rows_per_sec,speedup_vs_interleaved\n";
+    write_text_file(traj_path, traj + traj_rows);
+    std::printf("appended %s (rev %s)\n", traj_path.c_str(), rev);
+  }
 
   // rows/sec gauges: timing lives in the bench (the library never reads
   // the clock — see tools/anb_lint raw-timing rule), the registry carries

@@ -4,7 +4,7 @@
 //   1. grid-search a training proxy p* under a GPU-hour budget (Eq. 1),
 //   2. collect ANB-Acc and all ANB-{device}-{metric} datasets with p*,
 //   3. fit XGB surrogates per dataset and report held-out test metrics,
-//   4. save the finished benchmark to accel_nasbench.json and reload it.
+//   4. save the finished benchmark to accel_nasbench.anbb and reload it.
 //
 // Pass --fast to shrink the proxy grid and the collection for a quick demo.
 
@@ -51,9 +51,9 @@ int main(int argc, char** argv) {
                 metrics.r2, metrics.kendall_tau, metrics.mae);
   }
 
-  const std::string path = "accel_nasbench.json";
-  result.bench.save(path);
-  const AccelNASBench reloaded = AccelNASBench::load(path);
+  const std::string path = "accel_nasbench.anbb";
+  result.bench.save_binary(path);
+  const AccelNASBench reloaded = AccelNASBench::open(path);
   Rng rng(1);
   std::vector<Arch> probes;
   for (int i = 0; i < 16; ++i) probes.push_back(MnasSpace::instance().sample(rng));

@@ -10,7 +10,6 @@
 #include "anb/obs/span.hpp"
 #include "anb/surrogate/ensemble.hpp"
 #include "anb/util/error.hpp"
-#include "anb/util/fault.hpp"
 #include "anb/util/mutex.hpp"
 #include "anb/util/thread_annotations.hpp"
 
@@ -407,72 +406,6 @@ std::vector<MetricKey> AccelNASBench::perf_targets() const {
   out.reserve(perf_.size());
   for (const auto& [key, surrogate] : perf_) out.push_back(key);
   return out;
-}
-
-Json AccelNASBench::to_json() const {
-  Json j = Json::object();
-  j["format"] = "accel-nasbench-v1";
-  // The space key is always written; pre-interface artifacts lack it and
-  // load as MnasNet (the only space that existed when they were saved).
-  j["space"] = space_name(space_);
-  if (accuracy_ != nullptr) j["accuracy"] = accuracy_->to_json();
-  Json perf = Json::object();
-  for (const auto& [key, surrogate] : perf_)
-    perf[perf_json_key(key)] = surrogate->to_json();
-  j["perf"] = std::move(perf);
-  return j;
-}
-
-AccelNASBench AccelNASBench::from_json(const Json& j) {
-  ANB_CHECK(j.at("format").as_string() == "accel-nasbench-v1",
-            "AccelNASBench: unsupported format tag");
-  AccelNASBench bench;
-  if (j.contains("space"))
-    bench.set_space(space_id_from_name(j.at("space").as_string()));
-  if (j.contains("accuracy"))
-    bench.accuracy_ = surrogate_from_json(j.at("accuracy"));
-  for (const auto& [key, payload] : j.at("perf").as_object())
-    bench.perf_[perf_json_key_parse(key)] = surrogate_from_json(payload);
-  return bench;
-}
-
-void AccelNASBench::save(const std::string& path) const {
-  const std::string text = to_json().dump();
-  if (fault::any_armed()) {
-    if (const auto fire = fault::should_fire(kBenchmarkSaveFaultSite)) {
-      // Short write: a prefix of the payload reaches disk, then the write
-      // "fails". The truncated file must never load as a valid benchmark.
-      const auto cut =
-          static_cast<std::size_t>(fire->uniform() *
-                                   static_cast<double>(text.size()));
-      write_text_file(path, text.substr(0, cut));
-      throw Error("AccelNASBench::save: injected short write to " + path);
-    }
-  }
-  write_text_file(path, text);
-}
-
-AccelNASBench AccelNASBench::load_text(std::string text) {
-  if (fault::any_armed()) {
-    if (const auto fire = fault::should_fire(kBenchmarkLoadFaultSite)) {
-      // Short read: only a prefix of the file arrives; the JSON parse of
-      // the truncated text throws anb::Error below.
-      const auto cut =
-          static_cast<std::size_t>(fire->uniform() *
-                                   static_cast<double>(text.size()));
-      text.resize(cut);
-    }
-  }
-  return from_json(Json::parse(text));
-}
-
-AccelNASBench AccelNASBench::load(const std::string& path) {
-  try {
-    return load_text(read_text_file(path));
-  } catch (const Error& e) {
-    throw Error("AccelNASBench::load: cannot load '" + path +
-                "': " + e.what());
-  }
 }
 
 }  // namespace anb

@@ -1,8 +1,7 @@
-// Binary .anbb persistence of the whole benchmark: every surrogate's
-// arrays land in container sections (anb/util/binary.hpp) and a single
-// JSON meta section — written last — records the structure and the
-// section indices. The text format (benchmark.cpp) stays the
-// import/export interchange; this is the fast load path.
+// Binary .anbb persistence of the whole benchmark — the one artifact
+// format: every surrogate's arrays land in container sections
+// (anb/util/binary.hpp) and a single JSON meta section — written last —
+// records the structure and the section indices.
 
 #include <cstddef>
 #include <cstdint>
@@ -71,77 +70,59 @@ void AccelNASBench::save_binary(const std::string& path) const {
   io::write_file(path, file);
 }
 
-AccelNASBench AccelNASBench::load_binary_buffer(
-    std::shared_ptr<const io::Buffer> buffer) {
-  ANB_CHECK(buffer != nullptr,
-            "AccelNASBench::load_binary: null buffer");
-  if (fault::any_armed()) {
-    if (const auto fire = fault::should_fire(kBenchmarkLoadFaultSite)) {
-      // Short read: only a prefix of the container arrives. A heap copy
-      // stands in for the truncated stream; the Reader's size check
-      // throws anb::Error below. (No zero-copy concern on a fault path.)
-      const auto cut = static_cast<std::size_t>(
-          fire->uniform() * static_cast<double>(buffer->size()));
-      buffer = io::Buffer::from_bytes(
-          std::vector<char>(buffer->data(), buffer->data() + cut));
-    }
-  }
-  const bin::Reader r(std::move(buffer));
-  ANB_CHECK(r.num_sections() >= 1, "AccelNASBench: empty binary artifact");
-  // The meta section is written last (after every surrogate's arrays).
-  const auto meta_index = static_cast<std::uint32_t>(r.num_sections() - 1);
-  const std::span<const char> meta_raw = r.section(meta_index, bin::Tag::kMeta);
-  const Json meta = Json::parse(std::string(meta_raw.data(), meta_raw.size()));
-  ANB_CHECK(meta.at("format").as_string() == "accel-nasbench-v1",
-            "AccelNASBench: unsupported format tag");
-  AccelNASBench bench;
-  // Space section: optional for backward compatibility (absent ⇒ MnasNet,
-  // the only space that existed before the section was introduced).
-  for (std::uint32_t i = 0; i < meta_index; ++i) {
-    if (r.tag(i) != bin::Tag::kSpace) continue;
-    const std::span<const char> raw = r.section(i, bin::Tag::kSpace);
-    ANB_CHECK(raw.size() == sizeof(SpaceSection),
-              "AccelNASBench: malformed space section");
-    SpaceSection record;
-    std::memcpy(&record, raw.data(), sizeof(record));
-    ANB_CHECK(record.version == kSpaceSectionVersion,
-              "AccelNASBench: unsupported space section version " +
-                  std::to_string(record.version));
-    ANB_CHECK(record.space_id == static_cast<std::uint32_t>(SpaceId::kMnasNet) ||
-                  record.space_id == static_cast<std::uint32_t>(SpaceId::kFbnet),
-              "AccelNASBench: unknown space id " +
-                  std::to_string(record.space_id) + " in artifact");
-    bench.set_space(static_cast<SpaceId>(record.space_id));
-    break;
-  }
-  if (meta.contains("accuracy"))
-    bench.accuracy_ = surrogate_from_binary(meta.at("accuracy"), r);
-  for (const auto& [key, payload] : meta.at("perf").as_object())
-    bench.perf_[perf_json_key_parse(key)] = surrogate_from_binary(payload, r);
-  return bench;
-}
-
-AccelNASBench AccelNASBench::load_binary(const std::string& path,
-                                         io::MapMode mode) {
-  ANB_SPAN("anb.benchmark.load_binary");
-  try {
-    auto buffer = mode == io::MapMode::kMap ? io::Buffer::map_file(path)
-                                            : io::Buffer::read_file(path);
-    return load_binary_buffer(std::move(buffer));
-  } catch (const Error& e) {
-    throw Error("AccelNASBench::load_binary: cannot load '" + path +
-                "': " + e.what());
-  }
-}
-
 AccelNASBench AccelNASBench::open(const std::string& path, io::MapMode mode) {
   ANB_SPAN("anb.benchmark.open");
   try {
     auto buffer = mode == io::MapMode::kMap ? io::Buffer::map_file(path)
                                             : io::Buffer::read_file(path);
-    if (bin::has_magic(buffer->bytes()))
-      return load_binary_buffer(std::move(buffer));
-    return load_text(std::string(buffer->data(), buffer->size()));
+    if (fault::any_armed()) {
+      if (const auto fire = fault::should_fire(kBenchmarkLoadFaultSite)) {
+        // Short read: only a prefix of the container arrives. A heap copy
+        // stands in for the truncated stream; the Reader's size check
+        // throws anb::Error below. (No zero-copy concern on a fault path.)
+        const auto cut = static_cast<std::size_t>(
+            fire->uniform() * static_cast<double>(buffer->size()));
+        buffer = io::Buffer::from_bytes(
+            std::vector<char>(buffer->data(), buffer->data() + cut));
+      }
+    }
+    const bin::Reader r(std::move(buffer));
+    ANB_CHECK(r.num_sections() >= 1, "AccelNASBench: empty binary artifact");
+    // The meta section is written last (after every surrogate's arrays).
+    const auto meta_index = static_cast<std::uint32_t>(r.num_sections() - 1);
+    const std::span<const char> meta_raw =
+        r.section(meta_index, bin::Tag::kMeta);
+    const Json meta =
+        Json::parse(std::string(meta_raw.data(), meta_raw.size()));
+    ANB_CHECK(meta.at("format").as_string() == "accel-nasbench-v1",
+              "AccelNASBench: unsupported format tag");
+    AccelNASBench bench;
+    // Space section: optional for backward compatibility (absent ⇒
+    // MnasNet, the only space that existed before the section was
+    // introduced).
+    for (std::uint32_t i = 0; i < meta_index; ++i) {
+      if (r.tag(i) != bin::Tag::kSpace) continue;
+      const std::span<const char> raw = r.section(i, bin::Tag::kSpace);
+      ANB_CHECK(raw.size() == sizeof(SpaceSection),
+                "AccelNASBench: malformed space section");
+      SpaceSection record;
+      std::memcpy(&record, raw.data(), sizeof(record));
+      ANB_CHECK(record.version == kSpaceSectionVersion,
+                "AccelNASBench: unsupported space section version " +
+                    std::to_string(record.version));
+      ANB_CHECK(
+          record.space_id == static_cast<std::uint32_t>(SpaceId::kMnasNet) ||
+              record.space_id == static_cast<std::uint32_t>(SpaceId::kFbnet),
+          "AccelNASBench: unknown space id " +
+              std::to_string(record.space_id) + " in artifact");
+      bench.set_space(static_cast<SpaceId>(record.space_id));
+      break;
+    }
+    if (meta.contains("accuracy"))
+      bench.accuracy_ = surrogate_from_binary(meta.at("accuracy"), r);
+    for (const auto& [key, payload] : meta.at("perf").as_object())
+      bench.perf_[perf_json_key_parse(key)] = surrogate_from_binary(payload, r);
+    return bench;
   } catch (const Error& e) {
     throw Error("AccelNASBench::open: cannot load '" + path + "': " +
                 e.what());

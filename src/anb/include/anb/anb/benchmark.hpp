@@ -68,13 +68,12 @@ struct MetricKey {
 /// Paper-style dataset id, e.g. "ANB-Acc", "ANB-ZCU-Thr".
 std::string dataset_name(MetricKey key);
 
-/// Fault-injection sites in AccelNASBench::save/load (anb/util/fault.hpp).
-/// When the save site fires, only a prefix of the serialized benchmark
-/// reaches disk (length driven by the fire draw) and save throws
-/// anb::Error — simulating a short write / full disk. When the load site
-/// fires, only a prefix of the file is read, so the parse fails with
-/// anb::Error — simulating a short read / truncated download. The binary
-/// paths (save_binary/load_binary/open) route through the same two sites.
+/// Fault-injection sites in AccelNASBench::save_binary/open
+/// (anb/util/fault.hpp). When the save site fires, only a prefix of the
+/// .anbb container reaches disk (length driven by the fire draw) and
+/// save_binary throws anb::Error — simulating a short write / full disk.
+/// When the load site fires, only a prefix of the file is read, so open
+/// fails with anb::Error — simulating a short read / truncated download.
 inline constexpr const char* kBenchmarkSaveFaultSite =
     "anb.benchmark.save.short_write";
 inline constexpr const char* kBenchmarkLoadFaultSite =
@@ -167,45 +166,28 @@ class AccelNASBench {
   /// All metric keys with an installed surrogate, ascending.
   std::vector<MetricKey> perf_targets() const;
 
-  /// Serialization of the whole benchmark (all surrogates) to one JSON file.
-  void save(const std::string& path) const;
-  static AccelNASBench load(const std::string& path);
-
-  /// Binary .anbb artifact: a versioned, checksummed container holding
-  /// every surrogate's arrays (forest nodes, support vectors) in their
-  /// in-memory layout — see DESIGN.md "Binary artifact format". The
-  /// reloaded benchmark's predictions are bit-identical to this one's for
-  /// every installed surrogate, and save→load→save_binary reproduces the
-  /// file byte for byte.
+  /// Save the whole benchmark (all surrogates) as one .anbb artifact: a
+  /// versioned, checksummed container holding every surrogate's arrays
+  /// (forest nodes, support vectors) in their in-memory layout — see
+  /// DESIGN.md "Binary artifact format". The reloaded benchmark's
+  /// predictions are bit-identical to this one's for every installed
+  /// surrogate, and save_binary→open→save_binary reproduces the file byte
+  /// for byte.
   void save_binary(const std::string& path) const;
 
-  /// Reload a save_binary() artifact. MapMode::kMap (default) memory-maps
+  /// Load a save_binary() artifact. MapMode::kMap (default) memory-maps
   /// the file and uses the array sections in place without copying —
   /// microsecond cold starts; kCopy reads it into heap memory. On
   /// platforms without mmap, kMap silently degrades to a heap read. Any
   /// corruption (truncation, bit-flips, table tampering) throws anb::Error
   /// naming `path`; nothing is ever read past the end of the file.
-  static AccelNASBench load_binary(const std::string& path,
-                                   io::MapMode mode = io::MapMode::kMap);
-
-  /// Load either format: sniffs the .anbb magic and dispatches to the
-  /// binary or the text loader. The file is read/mapped once.
   static AccelNASBench open(const std::string& path,
                             io::MapMode mode = io::MapMode::kMap);
 
-  Json to_json() const;
-  static AccelNASBench from_json(const Json& j);
-
  private:
-  /// Shared tail of load()/open(): fault-injected truncation + JSON parse.
-  static AccelNASBench load_text(std::string text);
-  /// Shared tail of load_binary()/open(): fault-injected truncation +
-  /// container validation + surrogate reconstruction.
-  static AccelNASBench load_binary_buffer(
-      std::shared_ptr<const io::Buffer> buffer);
-
-  /// On-disk JSON key ("device/metric"); distinct from MetricKey::to_string
-  /// so the serialized format predates — and survives — the key redesign.
+  /// Perf-map key in the meta section ("device/metric"); distinct from
+  /// MetricKey::to_string so the format predates — and survives — the key
+  /// redesign.
   static std::string perf_json_key(MetricKey key);
   static MetricKey perf_json_key_parse(const std::string& key);
 

@@ -98,25 +98,6 @@ const Surrogate& EnsembleSurrogate::member(std::size_t i) const {
   return *members_[i];
 }
 
-Json EnsembleSurrogate::to_json() const {
-  ANB_CHECK(!members_.empty(), "EnsembleSurrogate: not fitted");
-  Json j = Json::object();
-  j["type"] = name();
-  Json arr = Json::array();
-  for (const auto& m : members_) arr.push_back(m->to_json());
-  j["members"] = std::move(arr);
-  return j;
-}
-
-std::unique_ptr<EnsembleSurrogate> EnsembleSurrogate::from_json(const Json& j) {
-  ANB_CHECK(j.at("type").as_string() == "ensemble",
-            "EnsembleSurrogate::from_json: wrong type tag");
-  std::vector<std::unique_ptr<Surrogate>> members;
-  for (const auto& jm : j.at("members").as_array())
-    members.push_back(surrogate_from_json(jm));
-  return std::make_unique<EnsembleSurrogate>(std::move(members));
-}
-
 Json EnsembleSurrogate::to_binary(bin::Writer& w) const {
   ANB_CHECK(!members_.empty(), "EnsembleSurrogate: not fitted");
   Json j = Json::object();

@@ -23,7 +23,7 @@ constexpr std::size_t kRowBlock = 64;
 
 /// Advance one row one level. Leaves self-loop, so the step is uniform
 /// whether or not the row has reached its leaf — and "index unchanged" is
-/// exactly the leaf test (internal nodes never point at themselves; the
+/// exactly the leaf test (internal nodes point only at later nodes; the
 /// constructor validates this).
 inline std::int32_t step(const FlatNode* nodes, std::int32_t at,
                          const double* x) {
@@ -181,8 +181,6 @@ FlatForest::FlatForest(std::span<const RegressionTree> trees) {
         ANB_CHECK(n.left >= 0 && n.left < count && n.right >= 0 &&
                       n.right < count,
                   "FlatForest: dangling child index");
-        ANB_CHECK(n.left != i && n.right != i,
-                  "FlatForest: internal node is its own child");
         fn.split = n.threshold;
         fn.feature = n.feature;
         fn.left = base + n.left;
@@ -262,6 +260,7 @@ void FlatForest::validate() {
     return;
   }
   ANB_CHECK(roots_[0] == 0, "FlatForest: first tree root must be 0");
+  std::vector<std::uint8_t> has_parent(num_nodes, 0);
   for (std::size_t t = 0; t < num_trees; ++t) {
     const std::int32_t lo = roots_[t];
     const std::int32_t hi = t + 1 < num_trees
@@ -279,8 +278,18 @@ void FlatForest::validate() {
         // 0 also makes the binary round-trip byte-stable).
         ANB_CHECK(n.feature == 0, "FlatForest: leaf feature slot must be 0");
       } else {
-        ANB_CHECK(n.left != i && n.right != i,
-                  "FlatForest: internal node is its own child");
+        // Children strictly after their parent: every descent strictly
+        // increases the node index, so each walk ends at a leaf (no
+        // cycles, no internal self-loops) within the tree's node count.
+        // One parent per node keeps it a tree, not a DAG, so the masked
+        // tables' in-order walk visits each node once.
+        ANB_CHECK(n.left > i && n.right > i,
+                  "FlatForest: internal node's child does not follow it");
+        for (const std::int32_t child : {n.left, n.right}) {
+          auto& seen = has_parent[static_cast<std::size_t>(child)];
+          ANB_CHECK(seen == 0, "FlatForest: node has two parents");
+          seen = 1;
+        }
         ANB_CHECK(n.feature >= 0, "FlatForest: negative feature index");
         max_feature_ = std::max(max_feature_, n.feature);
       }
@@ -451,33 +460,6 @@ double FlatForest::predict_tree(std::size_t t, std::span<const double> x) const 
     at = next;
   }
   return nodes[at].split;
-}
-
-std::vector<RegressionTree> FlatForest::to_trees() const {
-  std::vector<RegressionTree> out;
-  out.reserve(roots_.size());
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const std::int32_t lo = roots_[t];
-    const std::int32_t hi = t + 1 < roots_.size()
-                                ? roots_[t + 1]
-                                : static_cast<std::int32_t>(nodes_.size());
-    std::vector<TreeNode> nodes(static_cast<std::size_t>(hi - lo));
-    for (std::int32_t i = lo; i < hi; ++i) {
-      const FlatNode& fn = nodes_[static_cast<std::size_t>(i)];
-      TreeNode& n = nodes[static_cast<std::size_t>(i - lo)];
-      if (fn.left == i && fn.right == i) {
-        n.feature = -1;
-        n.value = fn.split;
-      } else {
-        n.feature = fn.feature;
-        n.threshold = fn.split;
-        n.left = fn.left - lo;
-        n.right = fn.right - lo;
-      }
-    }
-    out.emplace_back(std::move(nodes));
-  }
-  return out;
 }
 
 namespace {

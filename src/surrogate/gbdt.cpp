@@ -52,7 +52,6 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
                     Rng& rng) {
   ANB_SPAN("anb.fit.gbdt");
   obs::counter("anb.fit.gbdt.count").add(1);
-  trees_.clear();
   const std::size_t n = train.size();
   const std::size_t d = train.num_features();
 
@@ -72,6 +71,8 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
 
   std::vector<double> pred(n, base_score_);
   std::vector<double> g(n), h(n, 1.0), weight(n, 1.0);
+  std::vector<RegressionTree> trees;
+  trees.reserve(static_cast<std::size_t>(params_.n_estimators));
   for (int t = 0; t < params_.n_estimators; ++t) {
     // Squared loss: g = prediction residual, constant hessian. Element-wise
     // over rows, so the chunked parallel loop is bit-identical to serial.
@@ -88,22 +89,19 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
       for (std::size_t i = begin; i < end; ++i)
         pred[i] += params_.learning_rate * tree.predict(train.row(i));
     });
-    trees_.push_back(std::move(tree));
+    trees.push_back(std::move(tree));
   }
-  rebuild_flat();
+  // Depth-capped boosting (default max_depth 3) keeps every tree at <= 8
+  // leaves, so fitted models qualify for the masked SIMD descent engine
+  // whenever their per-feature threshold counts fit the byte-code budget
+  // (DESIGN.md "SIMD descent").
+  flat_ = FlatForest(trees);
 }
 
-// Depth-capped boosting (default max_depth 3) keeps every tree at <= 8
-// leaves, so fitted models qualify for the masked SIMD descent engine
-// whenever their per-feature threshold counts fit the byte-code budget
-// (DESIGN.md "SIMD descent").
-void Gbdt::rebuild_flat() { flat_ = FlatForest(trees_); }
-
 double Gbdt::predict(std::span<const double> x) const {
-  // Walks flat_ so binary-loaded models (which never materialize trees_)
-  // share one code path; predict_tree performs the identical comparisons
-  // and the loop the identical accumulation order as the per-tree walk,
-  // so results are unchanged bit for bit.
+  // predict_tree performs the identical comparisons and the loop the
+  // identical accumulation order as the per-tree walk, so results are
+  // bit-identical to RegressionTree::predict.
   ANB_CHECK(!flat_.empty(), "Gbdt::predict: model not fitted");
   double acc = base_score_;
   for (std::size_t t = 0; t < flat_.num_trees(); ++t)
@@ -135,21 +133,6 @@ Json gbdt_params_json(const GbdtParams& p) {
 }
 
 }  // namespace
-
-Json Gbdt::to_json() const {
-  Json j = Json::object();
-  j["type"] = name();
-  j["base_score"] = base_score_;
-  j["params"] = gbdt_params_json(params_);
-  Json trees = Json::array();
-  if (trees_.empty()) {
-    for (const auto& tree : flat_.to_trees()) trees.push_back(tree.to_json());
-  } else {
-    for (const auto& tree : trees_) trees.push_back(tree.to_json());
-  }
-  j["trees"] = std::move(trees);
-  return j;
-}
 
 Json Gbdt::to_binary(bin::Writer& w) const {
   ANB_CHECK(!flat_.empty(), "Gbdt::to_binary: model not fitted");
@@ -185,27 +168,6 @@ std::unique_ptr<Gbdt> Gbdt::from_binary(const Json& meta,
           static_cast<std::uint32_t>(meta.at("roots").as_int()),
           bin::Tag::kI32));
   ANB_CHECK(!model->flat_.empty(), "Gbdt::from_binary: empty forest");
-  return model;
-}
-
-std::unique_ptr<Gbdt> Gbdt::from_json(const Json& j) {
-  ANB_CHECK(j.at("type").as_string() == "xgb",
-            "Gbdt::from_json: wrong type tag");
-  const Json& p = j.at("params");
-  GbdtParams params;
-  params.n_estimators = p.at("n_estimators").as_int();
-  params.learning_rate = p.at("learning_rate").as_number();
-  params.max_depth = p.at("max_depth").as_int();
-  params.lambda = p.at("lambda").as_number();
-  params.gamma = p.at("gamma").as_number();
-  params.min_child_weight = p.at("min_child_weight").as_number();
-  params.subsample = p.at("subsample").as_number();
-  params.colsample = p.at("colsample").as_number();
-  auto model = std::make_unique<Gbdt>(params);
-  model->base_score_ = j.at("base_score").as_number();
-  for (const auto& jt : j.at("trees").as_array())
-    model->trees_.push_back(RegressionTree::from_json(jt));
-  model->rebuild_flat();
   return model;
 }
 

@@ -87,7 +87,6 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
             "HistGbdt::fit: bin matrix built with a different max_bins");
   ANB_SPAN("anb.fit.histgbdt");
   obs::counter("anb.fit.histgbdt.count").add(1);
-  trees_.clear();
   const std::size_t n = train.size();
   const std::size_t d = train.num_features();
 
@@ -97,6 +96,8 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
   base_score_ = mean(train.targets());
   std::vector<double> pred(n, base_score_);
   std::vector<double> g(n), h(n, 1.0);
+  std::vector<RegressionTree> trees;
+  trees.reserve(static_cast<std::size_t>(params_.n_estimators));
 
   // Per-feature split scan over a finished histogram. Bit-for-bit the same
   // scan as a serial pass: bins ascend within the feature, ties keep the
@@ -286,21 +287,18 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
       for (std::size_t i = begin; i < end; ++i)
         pred[i] += params_.learning_rate * tree.predict(train.row(i));
     });
-    trees_.push_back(std::move(tree));
+    trees.push_back(std::move(tree));
   }
-  rebuild_flat();
+  // Histogram training snaps every split to a bin edge, so each feature
+  // carries at most max_bins distinct thresholds and the leaf count is
+  // capped at max_leaves (default 8): fitted models qualify for the masked
+  // SIMD descent engine by construction (DESIGN.md "SIMD descent" — the
+  // engine tables are derived lazily from flat_).
+  flat_ = FlatForest(trees);
 }
 
-// Histogram training snaps every split to a bin edge, so each feature
-// carries at most max_bins distinct thresholds and the leaf count is
-// capped at max_leaves (default 8): fitted models qualify for both the
-// quantized and masked SIMD descent engines by construction (DESIGN.md
-// "SIMD descent" — the engine tables are derived lazily from flat_).
-void HistGbdt::rebuild_flat() { flat_ = FlatForest(trees_); }
-
 double HistGbdt::predict(std::span<const double> x) const {
-  // Same flat_ walk as Gbdt::predict — one code path for fitted and
-  // binary-loaded models, bit-identical to the per-tree walk.
+  // Same flat_ walk as Gbdt::predict, bit-identical to the per-tree walk.
   ANB_CHECK(!flat_.empty(), "HistGbdt::predict: model not fitted");
   double acc = base_score_;
   for (std::size_t t = 0; t < flat_.num_trees(); ++t)
@@ -333,21 +331,6 @@ Json hist_gbdt_params_json(const HistGbdtParams& p) {
 }
 
 }  // namespace
-
-Json HistGbdt::to_json() const {
-  Json j = Json::object();
-  j["type"] = name();
-  j["base_score"] = base_score_;
-  j["params"] = hist_gbdt_params_json(params_);
-  Json trees = Json::array();
-  if (trees_.empty()) {
-    for (const auto& tree : flat_.to_trees()) trees.push_back(tree.to_json());
-  } else {
-    for (const auto& tree : trees_) trees.push_back(tree.to_json());
-  }
-  j["trees"] = std::move(trees);
-  return j;
-}
 
 Json HistGbdt::to_binary(bin::Writer& w) const {
   ANB_CHECK(!flat_.empty(), "HistGbdt::to_binary: model not fitted");
@@ -384,28 +367,6 @@ std::unique_ptr<HistGbdt> HistGbdt::from_binary(const Json& meta,
           static_cast<std::uint32_t>(meta.at("roots").as_int()),
           bin::Tag::kI32));
   ANB_CHECK(!model->flat_.empty(), "HistGbdt::from_binary: empty forest");
-  return model;
-}
-
-std::unique_ptr<HistGbdt> HistGbdt::from_json(const Json& j) {
-  ANB_CHECK(j.at("type").as_string() == "lgb",
-            "HistGbdt::from_json: wrong type tag");
-  const Json& p = j.at("params");
-  HistGbdtParams params;
-  params.n_estimators = p.at("n_estimators").as_int();
-  params.learning_rate = p.at("learning_rate").as_number();
-  params.max_leaves = p.at("max_leaves").as_int();
-  params.max_bins = p.at("max_bins").as_int();
-  params.lambda = p.at("lambda").as_number();
-  params.min_child_weight = p.at("min_child_weight").as_number();
-  params.min_split_gain = p.at("min_split_gain").as_number();
-  params.subsample = p.at("subsample").as_number();
-  params.colsample = p.at("colsample").as_number();
-  auto model = std::make_unique<HistGbdt>(params);
-  model->base_score_ = j.at("base_score").as_number();
-  for (const auto& jt : j.at("trees").as_array())
-    model->trees_.push_back(RegressionTree::from_json(jt));
-  model->rebuild_flat();
   return model;
 }
 

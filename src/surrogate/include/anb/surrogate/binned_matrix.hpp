@@ -3,11 +3,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "anb/surrogate/dataset.hpp"
-#include "anb/util/io.hpp"
 
 namespace anb {
 
@@ -23,8 +21,8 @@ namespace anb {
 /// Construction parallelizes over features; columns are independent, so
 /// the result is identical for any thread count.
 ///
-/// The same bin-edge idea powers the quantized/masked SIMD descent
-/// engines at query time: because histogram splits snap to these edges,
+/// The same bin-edge idea powers the masked SIMD descent engine at
+/// query time: because histogram splits snap to these edges,
 /// a fitted forest's per-feature thresholds form a small ladder that
 /// FlatForest re-derives as uint8 comparison codes — training bins here,
 /// inference codes there, one losslessness argument (DESIGN.md "SIMD
@@ -61,32 +59,16 @@ class BinnedMatrix {
     return codes_[f * num_rows_ + i];
   }
 
-  /// Write as a standalone .anbb artifact (edges, offsets, and codes in
-  /// their in-memory layout), so repeated tuning runs on the same dataset
-  /// skip re-quantization. Throws anb::Error on IO failure.
-  void save_binary(const std::string& path) const;
-
-  /// Reload a save_binary() artifact. With MapMode::kMap the edge and code
-  /// arrays are zero-copy views into a file mapping. Validates structure
-  /// (offsets monotone, every code within its feature's bin count) and
-  /// throws anb::Error on any corruption; the reloaded matrix is
-  /// indistinguishable from the constructed one.
-  static BinnedMatrix load_binary(const std::string& path, io::MapMode mode);
-
  private:
-  BinnedMatrix() = default;  // load_binary scratch
-  void validate() const;
-
   std::size_t num_rows_ = 0;
   std::size_t num_features_ = 0;
   int max_bins_ = 0;
   int max_hist_bins_ = 1;
   // Per-feature edge lists stored flat: feature f's edges occupy
-  // edges_flat_[edge_offsets_[f] .. edge_offsets_[f+1]). ArrayRef so the
-  // binary load path can view artifact sections in place.
-  io::ArrayRef<double> edges_flat_;
-  io::ArrayRef<std::uint64_t> edge_offsets_;  ///< d + 1 prefix offsets
-  io::ArrayRef<std::uint8_t> codes_;          ///< column-major, d * n codes
+  // edges_flat_[edge_offsets_[f] .. edge_offsets_[f+1]).
+  std::vector<double> edges_flat_;
+  std::vector<std::uint64_t> edge_offsets_;  ///< d + 1 prefix offsets
+  std::vector<std::uint8_t> codes_;          ///< column-major, d * n codes
 };
 
 }  // namespace anb

@@ -108,10 +108,12 @@ class FlatForest {
   /// Adopt pre-flattened arrays — the binary-artifact load path, where
   /// both may be zero-copy views into an mmap. Performs full structural
   /// validation (roots ascending from 0, every child inside its own
-  /// tree's range, internal nodes never self-referential, leaves
-  /// self-looping on both children, features non-negative); throws
-  /// anb::Error on any violation so a corrupted artifact can never drive
-  /// accumulate() out of bounds.
+  /// tree's range, internal nodes' children strictly after them — so
+  /// every walk terminates — no node with two parents, leaves
+  /// self-looping on both children,
+  /// features non-negative); throws anb::Error on any violation so a
+  /// corrupted artifact can never drive accumulate() out of bounds or
+  /// into a cycle.
   FlatForest(io::ArrayRef<FlatNode> nodes, io::ArrayRef<std::int32_t> roots);
 
   bool empty() const { return roots_.empty(); }
@@ -128,11 +130,6 @@ class FlatForest {
   /// `x[feature] < split` comparisons as RegressionTree::predict, so the
   /// result is bit-identical to walking the original tree.
   double predict_tree(std::size_t t, std::span<const double> x) const;
-
-  /// Reconstruct the per-tree RegressionTree form (the text-export path
-  /// for binary-loaded models). FlatNode <-> TreeNode is a bijection
-  /// given each tree's base index: leaf iff both children self-loop.
-  std::vector<RegressionTree> to_trees() const;
 
   /// Raw arrays in artifact layout (the binary-artifact save path).
   std::span<const FlatNode> nodes() const { return nodes_.span(); }

@@ -46,9 +46,7 @@ class Gbdt final : public Surrogate {
   void predict_batch(std::span<const double> rows, std::size_t num_features,
                      std::span<double> out) const override;
   std::string name() const override { return "xgb"; }
-  Json to_json() const override;
   Json to_binary(bin::Writer& w) const override;
-  static std::unique_ptr<Gbdt> from_json(const Json& j);
   static std::unique_ptr<Gbdt> from_binary(const Json& meta,
                                            const bin::Reader& r);
 
@@ -59,14 +57,10 @@ class Gbdt final : public Surrogate {
 
  private:
   void fit_impl(const Dataset& train, const ColumnIndex& columns, Rng& rng);
-  void rebuild_flat();
 
   GbdtParams params_;
   double base_score_ = 0.0;
-  /// Per-tree form; empty for binary-loaded models (flat_ is then the only
-  /// representation and to_json() reconstructs trees on demand).
-  std::vector<RegressionTree> trees_;
-  FlatForest flat_;  ///< rebuilt from trees_ after fit()/from_json()
+  FlatForest flat_;  ///< the fitted trees; set by fit() or from_binary()
 };
 
 }  // namespace anb

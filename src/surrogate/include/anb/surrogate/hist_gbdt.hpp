@@ -54,9 +54,7 @@ class HistGbdt final : public Surrogate {
   void predict_batch(std::span<const double> rows, std::size_t num_features,
                      std::span<double> out) const override;
   std::string name() const override { return "lgb"; }
-  Json to_json() const override;
   Json to_binary(bin::Writer& w) const override;
-  static std::unique_ptr<HistGbdt> from_json(const Json& j);
   static std::unique_ptr<HistGbdt> from_binary(const Json& meta,
                                                const bin::Reader& r);
 
@@ -66,14 +64,9 @@ class HistGbdt final : public Surrogate {
   const FlatForest& flat_forest() const { return flat_; }
 
  private:
-  void rebuild_flat();
-
   HistGbdtParams params_;
   double base_score_ = 0.0;
-  /// Per-tree form; empty for binary-loaded models (flat_ is then the only
-  /// representation and to_json() reconstructs trees on demand).
-  std::vector<RegressionTree> trees_;
-  FlatForest flat_;  ///< rebuilt from trees_ after fit()/from_json()
+  FlatForest flat_;  ///< the fitted trees; set by fit() or from_binary()
 };
 
 }  // namespace anb

@@ -52,9 +52,6 @@ class Surrogate {
   /// Short identifier ("xgb", "lgb", "rf", "esvr", "nusvr").
   virtual std::string name() const = 0;
 
-  /// Serialize the fitted model (including hyperparameters).
-  virtual Json to_json() const = 0;
-
   /// Serialize into a binary artifact: large arrays (forest nodes, support
   /// vectors) are appended to `w` as raw sections in their in-memory
   /// layout; the returned Json is the small meta record (type tag, params,
@@ -88,10 +85,6 @@ class Surrogate {
   FitMetrics evaluate(const Dataset& data) const;
 };
 
-/// Reconstruct a fitted surrogate from to_json() output. Dispatches on the
-/// "type" tag. Throws anb::Error for unknown types or malformed payloads.
-std::unique_ptr<Surrogate> surrogate_from_json(const Json& j);
-
 /// Reconstruct a fitted surrogate from a to_binary() meta record plus the
 /// artifact reader holding its array sections. Array data may be zero-copy
 /// views into the reader's buffer (mmap), which the surrogate keeps alive.
@@ -99,5 +92,10 @@ std::unique_ptr<Surrogate> surrogate_from_json(const Json& j);
 /// corrupted payload.
 std::unique_ptr<Surrogate> surrogate_from_binary(const Json& meta,
                                                  const bin::Reader& r);
+
+/// The model's binary image: its to_binary() meta record dumped as JSON,
+/// followed by the container bytes holding its array sections. A fitted
+/// model's identity — equal images mean equal models, byte for byte.
+std::string binary_image(const Surrogate& model);
 
 }  // namespace anb

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "anb/surrogate/dataset.hpp"
-#include "anb/util/json.hpp"
 
 namespace anb {
 
@@ -20,7 +19,7 @@ struct TreeNode {
   double value = 0.0;
 };
 
-/// A fitted regression tree (prediction + serialization only; fitting is
+/// A fitted regression tree (prediction only; fitting is
 /// done by TreeBuilder so random forests and gradient boosting can share
 /// one exact-greedy split engine).
 class RegressionTree {
@@ -39,9 +38,6 @@ class RegressionTree {
 
   const std::vector<TreeNode>& nodes() const { return nodes_; }
   int num_leaves() const;
-
-  Json to_json() const;
-  static RegressionTree from_json(const Json& j);
 
  private:
   std::vector<TreeNode> nodes_;

@@ -6,6 +6,7 @@
 #include "anb/surrogate/random_forest.hpp"
 #include "anb/surrogate/svr.hpp"
 #include "anb/surrogate/train_context.hpp"
+#include "anb/util/binary.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/metrics.hpp"
 #include "anb/util/parallel.hpp"
@@ -65,16 +66,6 @@ FitMetrics Surrogate::evaluate(const Dataset& data) const {
   return m;
 }
 
-std::unique_ptr<Surrogate> surrogate_from_json(const Json& j) {
-  const std::string& type = j.at("type").as_string();
-  if (type == "xgb") return Gbdt::from_json(j);
-  if (type == "lgb") return HistGbdt::from_json(j);
-  if (type == "rf") return RandomForest::from_json(j);
-  if (type == "esvr" || type == "nusvr") return Svr::from_json(j);
-  if (type == "ensemble") return EnsembleSurrogate::from_json(j);
-  throw Error("surrogate_from_json: unknown surrogate type '" + type + "'");
-}
-
 std::unique_ptr<Surrogate> surrogate_from_binary(const Json& meta,
                                                  const bin::Reader& r) {
   const std::string& type = meta.at("type").as_string();
@@ -84,6 +75,14 @@ std::unique_ptr<Surrogate> surrogate_from_binary(const Json& meta,
   if (type == "esvr" || type == "nusvr") return Svr::from_binary(meta, r);
   if (type == "ensemble") return EnsembleSurrogate::from_binary(meta, r);
   throw Error("surrogate_from_binary: unknown surrogate type '" + type + "'");
+}
+
+std::string binary_image(const Surrogate& model) {
+  bin::Writer w;
+  std::string image = model.to_binary(w).dump();
+  const std::vector<char> file = w.finish();
+  image.append(file.begin(), file.end());
+  return image;
 }
 
 }  // namespace anb

@@ -242,7 +242,7 @@ Json svr_params_json(const SvrParams& p) {
   return params;
 }
 
-SvrParams svr_params_from_json(const std::string& type, const Json& p) {
+SvrParams parse_svr_params(const std::string& type, const Json& p) {
   SvrParams params;
   params.kind = type == "esvr" ? SvrKind::kEpsilon : SvrKind::kNu;
   params.c = p.at("c").as_number();
@@ -254,62 +254,6 @@ SvrParams svr_params_from_json(const std::string& type, const Json& p) {
 }
 
 }  // namespace
-
-Json Svr::to_json() const {
-  Json j = Json::object();
-  j["type"] = name();
-  j["params"] = svr_params_json(params_);
-  j["effective_epsilon"] = effective_epsilon_;
-  j["feat_mean"] = Json::array_of(feat_mean_.to_vector());
-  j["feat_scale"] = Json::array_of(feat_scale_.to_vector());
-  j["target_mean"] = target_mean_;
-  j["target_scale"] = target_scale_;
-  j["bias"] = bias_;
-  j["sv_coef"] = Json::array_of(sv_coef_.to_vector());
-  // Nested per-vector rows (the text format) sliced back out of the flat
-  // row-major matrix.
-  const std::size_t d = feat_mean_.size();
-  Json svs = Json::array();
-  for (std::size_t s = 0; s < sv_coef_.size(); ++s) {
-    svs.push_back(Json::array_of(std::vector<double>(
-        sv_flat_.begin() + static_cast<std::ptrdiff_t>(s * d),
-        sv_flat_.begin() + static_cast<std::ptrdiff_t>((s + 1) * d))));
-  }
-  j["support_vectors"] = std::move(svs);
-  return j;
-}
-
-std::unique_ptr<Svr> Svr::from_json(const Json& j) {
-  const std::string& type = j.at("type").as_string();
-  ANB_CHECK(type == "esvr" || type == "nusvr",
-            "Svr::from_json: wrong type tag");
-  auto model = std::make_unique<Svr>(svr_params_from_json(type, j.at("params")));
-  model->effective_epsilon_ = j.at("effective_epsilon").as_number();
-  std::vector<double> feat_mean = j.at("feat_mean").as_double_vector();
-  std::vector<double> feat_scale = j.at("feat_scale").as_double_vector();
-  model->target_mean_ = j.at("target_mean").as_number();
-  model->target_scale_ = j.at("target_scale").as_number();
-  model->bias_ = j.at("bias").as_number();
-  std::vector<double> sv_coef = j.at("sv_coef").as_double_vector();
-  ANB_CHECK(feat_mean.size() == feat_scale.size(),
-            "Svr::from_json: feature mean/scale size mismatch");
-  std::vector<double> sv_flat;
-  sv_flat.reserve(sv_coef.size() * feat_mean.size());
-  for (const auto& jsv : j.at("support_vectors").as_array()) {
-    const std::vector<double> sv = jsv.as_double_vector();
-    ANB_CHECK(sv.size() == feat_mean.size(),
-              "Svr::from_json: support vector dimension mismatch");
-    sv_flat.insert(sv_flat.end(), sv.begin(), sv.end());
-  }
-  ANB_CHECK(sv_flat.size() == sv_coef.size() * feat_mean.size(),
-            "Svr::from_json: coef/support-vector count mismatch");
-  ANB_CHECK(!sv_coef.empty(), "Svr::from_json: no support vectors");
-  model->feat_mean_ = io::ArrayRef<double>(std::move(feat_mean));
-  model->feat_scale_ = io::ArrayRef<double>(std::move(feat_scale));
-  model->sv_coef_ = io::ArrayRef<double>(std::move(sv_coef));
-  model->sv_flat_ = io::ArrayRef<double>(std::move(sv_flat));
-  return model;
-}
 
 Json Svr::to_binary(bin::Writer& w) const {
   ANB_CHECK(!sv_coef_.empty(), "Svr::to_binary: model not fitted");
@@ -336,7 +280,7 @@ std::unique_ptr<Svr> Svr::from_binary(const Json& meta, const bin::Reader& r) {
   ANB_CHECK(type == "esvr" || type == "nusvr",
             "Svr::from_binary: wrong type tag");
   auto model =
-      std::make_unique<Svr>(svr_params_from_json(type, meta.at("params")));
+      std::make_unique<Svr>(parse_svr_params(type, meta.at("params")));
   model->effective_epsilon_ = meta.at("effective_epsilon").as_number();
   model->target_mean_ = meta.at("target_mean").as_number();
   model->target_scale_ = meta.at("target_scale").as_number();

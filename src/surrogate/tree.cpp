@@ -57,38 +57,6 @@ int RegressionTree::num_leaves() const {
   return leaves;
 }
 
-Json RegressionTree::to_json() const {
-  Json arr = Json::array();
-  for (const auto& n : nodes_) {
-    Json jn = Json::object();
-    jn["f"] = n.feature;
-    jn["t"] = n.threshold;
-    jn["l"] = n.left;
-    jn["r"] = n.right;
-    jn["v"] = n.value;
-    arr.push_back(std::move(jn));
-  }
-  return arr;
-}
-
-RegressionTree RegressionTree::from_json(const Json& j) {
-  std::vector<TreeNode> nodes;
-  for (const auto& jn : j.as_array()) {
-    TreeNode n;
-    n.feature = jn.at("f").as_int();
-    n.threshold = jn.at("t").as_number();
-    n.left = jn.at("l").as_int();
-    n.right = jn.at("r").as_int();
-    n.value = jn.at("v").as_number();
-    const int count = static_cast<int>(j.size());
-    ANB_CHECK(n.feature < 0 || (n.left >= 0 && n.left < count && n.right >= 0 &&
-                                n.right < count),
-              "RegressionTree::from_json: dangling child index");
-    nodes.push_back(n);
-  }
-  return RegressionTree(std::move(nodes));
-}
-
 ColumnIndex::ColumnIndex(const Dataset& data)
     : num_features_(data.num_features()), num_rows_(data.size()) {
   ANB_CHECK(num_rows_ > 0, "ColumnIndex: empty dataset");

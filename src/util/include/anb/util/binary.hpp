@@ -42,8 +42,7 @@ inline constexpr char kMagic[kMagicSize] = {'A', 'N', 'B', 'B',
 /// Written natively and compared on load: a byte-order mismatch between
 /// writer and reader machines is rejected instead of misread.
 inline constexpr std::uint32_t kEndianMarker = 0x01020304u;
-/// Current .anbb format version. Readers reject anything newer or older;
-/// the text format is the migration vehicle across versions.
+/// Current .anbb format version. Readers reject anything newer or older.
 inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::size_t kHeaderSize = 40;
 inline constexpr std::size_t kSectionEntrySize = 24;
@@ -51,7 +50,7 @@ inline constexpr std::size_t kSectionEntrySize = 24;
 inline constexpr std::size_t kChecksumOffset = 32;
 
 /// Fast non-cryptographic 64-bit checksum: splitmix64-mixed 8-byte words
-/// (word-at-a-time, so verification runs far faster than a text parse).
+/// (word-at-a-time, so verification is a small share of a load).
 /// Any single-bit corruption changes the result; collisions for random
 /// corruption are ~2^-64.
 std::uint64_t checksum64(std::span<const char> bytes);
@@ -153,8 +152,7 @@ class Reader {
   std::vector<Entry> entries_;
 };
 
-/// True when `bytes` starts with the .anbb magic (format sniffing for
-/// APIs that accept either the text or the binary artifact).
+/// True when `bytes` starts with the .anbb magic.
 bool has_magic(std::span<const char> bytes);
 
 }  // namespace anb::bin

@@ -9,7 +9,6 @@
 #include "anb/anb/pipeline.hpp"
 #include "anb/anb/tuning.hpp"
 #include "anb/util/error.hpp"
-#include "anb/util/fault.hpp"
 
 namespace anb {
 namespace {
@@ -103,9 +102,9 @@ TEST(AccelNASBenchTest, SaveLoadRoundTrip) {
   bench.set_perf_surrogate(MetricKey{DeviceKind::kVck190, PerfMetric::kLatency},
                            tiny_model(11, 3.0));
 
-  const std::string path = ::testing::TempDir() + "/anb_bench_test.json";
-  bench.save(path);
-  const AccelNASBench loaded = AccelNASBench::load(path);
+  const std::string path = ::testing::TempDir() + "/anb_bench_test.anbb";
+  bench.save_binary(path);
+  const AccelNASBench loaded = AccelNASBench::open(path);
   std::remove(path.c_str());
 
   Rng rng(12);
@@ -152,18 +151,11 @@ TEST(AccelNASBenchTest, EnsemblePipelineEnablesNoisyQueries) {
     EXPECT_NE(d1, d2);
   }
   // Noisy mode survives save/load (ensemble serializes).
-  const std::string path = ::testing::TempDir() + "/anb_noisy.json";
-  result.bench.save(path);
-  const AccelNASBench loaded = AccelNASBench::load(path);
+  const std::string path = ::testing::TempDir() + "/anb_noisy.anbb";
+  result.bench.save_binary(path);
+  const AccelNASBench loaded = AccelNASBench::open(path);
   std::remove(path.c_str());
   EXPECT_TRUE(loaded.has_noisy_accuracy());
-}
-
-TEST(AccelNASBenchTest, FromJsonRejectsBadFormat) {
-  Json j = Json::object();
-  j["format"] = "not-a-benchmark";
-  j["perf"] = Json::object();
-  EXPECT_THROW(AccelNASBench::from_json(j), Error);
 }
 
 TEST(BenchmarkNamingTest, ParsersRejectNearMissNames) {
@@ -185,39 +177,6 @@ TEST(BenchmarkNamingTest, ParsersRejectNearMissNames) {
   for (const auto& device : device_catalog())
     EXPECT_EQ(device_kind_from_name(device_kind_name(device.kind())),
               device.kind());
-}
-
-TEST(AccelNASBenchTest, InjectedShortWriteThrowsAndNeverLoads) {
-  AccelNASBench bench;
-  bench.set_accuracy_surrogate(tiny_model(30));
-  const std::string path = ::testing::TempDir() + "/anb_short_write.json";
-
-  {
-    fault::ScopedFault guard(kBenchmarkSaveFaultSite,
-                             fault::Policy::one_shot());
-    EXPECT_THROW(bench.save(path), Error);
-  }
-  // The truncated artifact on disk must never parse as a valid benchmark.
-  EXPECT_THROW(AccelNASBench::load(path), Error);
-  // A later fault-free save repairs the file in place.
-  bench.save(path);
-  EXPECT_TRUE(AccelNASBench::load(path).has_accuracy());
-  std::remove(path.c_str());
-}
-
-TEST(AccelNASBenchTest, InjectedShortReadThrowsWithoutCorruptingFile) {
-  AccelNASBench bench;
-  bench.set_accuracy_surrogate(tiny_model(31));
-  const std::string path = ::testing::TempDir() + "/anb_short_read.json";
-  bench.save(path);
-
-  {
-    fault::ScopedFault guard(kBenchmarkLoadFaultSite, fault::Policy::always());
-    EXPECT_THROW(AccelNASBench::load(path), Error);
-  }
-  // The fault was in the (simulated) read, not the file: a clean load works.
-  EXPECT_TRUE(AccelNASBench::load(path).has_accuracy());
-  std::remove(path.c_str());
 }
 
 }  // namespace

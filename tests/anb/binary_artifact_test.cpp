@@ -1,8 +1,8 @@
-// The tri-modal differential contract of the .anbb binary artifact: a
-// benchmark loaded from the text format, from a binary read, and from an
-// mmap of the binary file must produce *bit-identical* predictions for
-// every surrogate family and every MetricKey, on the scalar and the
-// batched query paths. Plus the format-level rejection guarantees
+// The differential contract of the .anbb binary artifact: a benchmark
+// loaded through a heap read and through an mmap of the file must produce
+// predictions *bit-identical* to the benchmark that was saved, for every
+// surrogate family and every MetricKey, on the scalar and the batched
+// query paths. Plus the format-level rejection guarantees
 // (version/checksum mismatch) and save→load→save byte-stability.
 
 #include <gtest/gtest.h>
@@ -136,36 +136,26 @@ void expect_identical(const AccelNASBench& a, const AccelNASBench& b,
 class BinaryArtifactTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    text_path_ = scratch("binary_artifact.json");
     anbb_path_ = scratch("binary_artifact.anbb");
-    const AccelNASBench bench = make_full_benchmark();
-    bench.save(text_path_);
-    bench.save_binary(anbb_path_);
+    bench_ = make_full_benchmark();
+    bench_.save_binary(anbb_path_);
   }
 
-  std::string text_path_;
+  AccelNASBench bench_;
   std::string anbb_path_;
 };
 
-TEST_F(BinaryArtifactTest, TriModalLoadsAreBitIdentical) {
-  const AccelNASBench text = AccelNASBench::load(text_path_);
-  const AccelNASBench heap =
-      AccelNASBench::load_binary(anbb_path_, io::MapMode::kCopy);
+TEST_F(BinaryArtifactTest, BothLoadModesMatchTheSavedBenchmark) {
+  const AccelNASBench heap = AccelNASBench::open(anbb_path_, io::MapMode::kCopy);
   const AccelNASBench mapped =
-      AccelNASBench::load_binary(anbb_path_, io::MapMode::kMap);
-  expect_identical(text, heap, "text vs binary(heap)");
-  expect_identical(text, mapped, "text vs binary(mmap)");
+      AccelNASBench::open(anbb_path_, io::MapMode::kMap);
+  expect_identical(bench_, heap, "saved vs binary(heap)");
+  expect_identical(bench_, mapped, "saved vs binary(mmap)");
   expect_identical(heap, mapped, "binary(heap) vs binary(mmap)");
 }
 
-TEST_F(BinaryArtifactTest, OpenSniffsBothFormats) {
-  const AccelNASBench from_text = AccelNASBench::open(text_path_);
-  const AccelNASBench from_anbb = AccelNASBench::open(anbb_path_);
-  expect_identical(from_text, from_anbb, "open(text) vs open(anbb)");
-}
-
 TEST_F(BinaryArtifactTest, SaveLoadSaveIsByteStable) {
-  const AccelNASBench reloaded = AccelNASBench::load_binary(anbb_path_);
+  const AccelNASBench reloaded = AccelNASBench::open(anbb_path_);
   const std::string again = scratch("binary_artifact_again.anbb");
   reloaded.save_binary(again);
   const auto first = io::Buffer::read_file(anbb_path_);
@@ -176,7 +166,7 @@ TEST_F(BinaryArtifactTest, SaveLoadSaveIsByteStable) {
 
 TEST_F(BinaryArtifactTest, MappedBenchmarkSurvivesUnlink) {
   const AccelNASBench mapped =
-      AccelNASBench::load_binary(anbb_path_, io::MapMode::kMap);
+      AccelNASBench::open(anbb_path_, io::MapMode::kMap);
   ASSERT_EQ(std::remove(anbb_path_.c_str()), 0);
   const std::vector<Arch> probes = make_probes(5, 29);
   for (const Arch& arch : probes)
@@ -196,7 +186,7 @@ TEST_F(BinaryArtifactTest, VersionMismatchRejected) {
   const std::string path = scratch("binary_artifact_version.anbb");
   io::write_file(path, bytes);
   try {
-    AccelNASBench::load_binary(path);
+    AccelNASBench::open(path);
     ADD_FAILURE() << "future-version artifact loaded";
   } catch (const Error& e) {
     const std::string msg = e.what();
@@ -213,7 +203,7 @@ TEST_F(BinaryArtifactTest, ChecksumMismatchRejected) {
   io::write_file(path, bytes);
   for (const io::MapMode mode : {io::MapMode::kCopy, io::MapMode::kMap}) {
     try {
-      AccelNASBench::load_binary(path, mode);
+      AccelNASBench::open(path, mode);
       ADD_FAILURE() << "bit-flipped artifact loaded";
     } catch (const Error& e) {
       const std::string msg = e.what();
@@ -223,45 +213,28 @@ TEST_F(BinaryArtifactTest, ChecksumMismatchRejected) {
   }
 }
 
-TEST_F(BinaryArtifactTest, TextLoaderNamesThePathOnFailure) {
-  const std::string path = scratch("binary_artifact_bad.json");
-  write_text_file(path, "{\"format\": \"not-a-benchmark\"}");
-  for (const auto load : {+[](const std::string& p) {
-                            return AccelNASBench::load(p);
-                          },
-                          +[](const std::string& p) {
-                            return AccelNASBench::open(p);
-                          }}) {
-    try {
-      load(path);
-      ADD_FAILURE() << "bad format tag loaded";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-          << e.what();
-    }
-  }
-}
-
 TEST_F(BinaryArtifactTest, FaultSitesCoverTheBinaryPaths) {
-  // The save/load fault sites injected for the text format fire on the
-  // binary paths too — a short write leaves a file load_binary rejects,
-  // and a short read rejects an intact file.
+  // The save/load fault sites fire on the artifact paths — a short write
+  // leaves a file open rejects, and a short read rejects an intact file.
   const std::string path = scratch("binary_artifact_fault.anbb");
   {
     fault::ScopedFault guard(kBenchmarkSaveFaultSite,
                              fault::Policy::one_shot());
-    EXPECT_THROW(make_full_benchmark().save_binary(path), Error);
+    EXPECT_THROW(bench_.save_binary(path), Error);
   }
-  // The truncated container on disk must never load as a valid benchmark.
-  EXPECT_THROW(AccelNASBench::load_binary(path), Error);
+  // The truncated container on disk must never load as a valid benchmark,
+  // and a later fault-free save repairs the file in place.
+  EXPECT_THROW(AccelNASBench::open(path), Error);
+  bench_.save_binary(path);
+  EXPECT_TRUE(AccelNASBench::open(path).has_accuracy());
 
   {
     fault::ScopedFault guard(kBenchmarkLoadFaultSite, fault::Policy::always());
-    EXPECT_THROW(AccelNASBench::load_binary(anbb_path_), Error);
-    EXPECT_THROW(AccelNASBench::open(anbb_path_), Error);
+    EXPECT_THROW(AccelNASBench::open(anbb_path_, io::MapMode::kCopy), Error);
+    EXPECT_THROW(AccelNASBench::open(anbb_path_, io::MapMode::kMap), Error);
   }
   // The fault was in the (simulated) read, not the file: clean loads work.
-  EXPECT_TRUE(AccelNASBench::load_binary(anbb_path_).has_accuracy());
+  EXPECT_TRUE(AccelNASBench::open(anbb_path_).has_accuracy());
 }
 
 }  // namespace

@@ -109,14 +109,14 @@ TEST(PipelineTest, SavedBenchmarkLoadsElsewhere) {
   options.n_archs = 200;
   options.collect_perf = false;
   const PipelineResult result = construct_benchmark(options);
-  const std::string path = ::testing::TempDir() + "/anb_pipe_bench.json";
-  result.bench.save(path);
-  const AccelNASBench loaded = AccelNASBench::load(path);
+  const std::string path = ::testing::TempDir() + "/anb_pipe_bench.anbb";
+  result.bench.save_binary(path);
+  const AccelNASBench loaded = AccelNASBench::open(path);
   std::remove(path.c_str());
   EXPECT_TRUE(loaded.has_accuracy());
-  // Corrupted payloads are rejected cleanly.
+  // Files that are not a .anbb container are rejected cleanly.
   write_text_file(path, "{\"format\": \"accel-nasbench-v1\", \"perf\": 3}");
-  EXPECT_THROW(AccelNASBench::load(path), Error);
+  EXPECT_THROW(AccelNASBench::open(path), Error);
   std::remove(path.c_str());
 }
 

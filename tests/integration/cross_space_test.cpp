@@ -116,7 +116,7 @@ void mini_pipeline_roundtrip(SpaceId space) {
   const std::string path = ::testing::TempDir() + "/anb_cross_space_" +
                            std::string(sp.name()) + ".anbb";
   result.bench.save_binary(path);
-  const AccelNASBench loaded = AccelNASBench::load_binary(path);
+  const AccelNASBench loaded = AccelNASBench::open(path);
   std::remove(path.c_str());
   EXPECT_EQ(loaded.space(), space);
   Rng rng(17);

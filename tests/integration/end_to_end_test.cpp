@@ -28,9 +28,9 @@ TEST(EndToEndTest, FullBenchmarkConstructionAndUse) {
   }
 
   // Zero-cost queries agree with fresh predictions after save/load.
-  const std::string path = ::testing::TempDir() + "/anb_e2e_bench.json";
-  result.bench.save(path);
-  const AccelNASBench loaded = AccelNASBench::load(path);
+  const std::string path = ::testing::TempDir() + "/anb_e2e_bench.anbb";
+  result.bench.save_binary(path);
+  const AccelNASBench loaded = AccelNASBench::open(path);
   std::remove(path.c_str());
   Rng rng(5);
   const Arch probe = MnasSpace::instance().sample(rng);

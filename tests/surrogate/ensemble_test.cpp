@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "anb/surrogate/hist_gbdt.hpp"
+#include "anb/util/binary.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/stats.hpp"
 
@@ -17,6 +18,14 @@ Dataset noisy_dataset(int n, std::uint64_t seed) {
     ds.add(x, 2.0 * x[0] - x[1] + 0.5 * x[2] + 0.05 * rng.normal());
   }
   return ds;
+}
+
+/// Save `model` into an in-memory .anbb image and load it back.
+std::unique_ptr<Surrogate> binary_round_trip(const Surrogate& model) {
+  bin::Writer w;
+  const Json meta = model.to_binary(w);
+  return surrogate_from_binary(meta,
+                               bin::Reader(io::Buffer::from_bytes(w.finish())));
 }
 
 EnsembleSurrogate::Factory lgb_factory() {
@@ -77,7 +86,7 @@ TEST(EnsembleTest, SerializationRoundTrip) {
   EnsembleSurrogate ensemble(lgb_factory(), 3);
   Rng rng(11);
   ensemble.fit(noisy_dataset(200, 12), rng);
-  const auto restored = surrogate_from_json(ensemble.to_json());
+  const auto restored = binary_round_trip(ensemble);
   const std::vector<double> x{0.7, 0.1, 0.5};
   EXPECT_DOUBLE_EQ(restored->predict(x), ensemble.predict(x));
   EXPECT_EQ(restored->name(), "ensemble");
@@ -99,7 +108,7 @@ TEST(EnsembleTest, DeserializedWrapperCannotRefit) {
   Rng rng(13);
   const Dataset train = noisy_dataset(200, 14);
   ensemble.fit(train, rng);
-  auto restored = EnsembleSurrogate::from_json(ensemble.to_json());
+  const auto restored = binary_round_trip(ensemble);
   EXPECT_THROW(restored->fit(train, rng), Error);
 }
 

@@ -1,8 +1,9 @@
 // Golden model digests: default XGB (Gbdt) and RF surrogates fitted on
-// fixed MnasNet and FBNet datasets must serialize to exactly the recorded
-// bytes. parallel_fit_test proves thread counts agree with each other
-// within one revision; this suite pins the fitted models across
-// revisions, so a change to the split search (the exact-greedy scan, its
+// fixed MnasNet and FBNet datasets must have exactly the recorded binary
+// image (binary_image(): the to_binary meta record plus the container
+// bytes of the model's arrays). parallel_fit_test proves thread counts
+// agree with each other within one revision; this suite pins the fitted
+// models across revisions, so a change to the split search (the exact-greedy scan, its
 // fast paths, tie-breaking, RNG consumption) that alters any tree fails
 // here. The FBNet encoding carries constant columns (never-legal skip
 // slots) next to two-valued ones.
@@ -46,10 +47,10 @@ Dataset make_space_dataset(const SearchSpace& space, int n,
   return ds;
 }
 
-/// FNV-1a 64 over the serialized model, printed as 16 hex digits.
+/// FNV-1a 64 over the model's binary image, printed as 16 hex digits.
 std::string digest(const Surrogate& model) {
   std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : model.to_json().dump()) {
+  for (const char c : binary_image(model)) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;
   }
@@ -68,14 +69,14 @@ std::string fit_digest(Surrogate&& model, const Dataset& train,
 
 TEST(ModelDigestTest, MnasNetDefaultModels) {
   const Dataset train = make_space_dataset(MnasSpace::instance(), 500, 71);
-  EXPECT_EQ(fit_digest(Gbdt(), train, 72), "a6b242b2deeb7c5f");
-  EXPECT_EQ(fit_digest(RandomForest(), train, 73), "34f6ac892cd7b96d");
+  EXPECT_EQ(fit_digest(Gbdt(), train, 72), "2ff9ad242db2f56e");
+  EXPECT_EQ(fit_digest(RandomForest(), train, 73), "ca6c2b8398411272");
 }
 
 TEST(ModelDigestTest, FbnetDefaultModels) {
   const Dataset train = make_space_dataset(FbnetSpace::instance(), 400, 81);
-  EXPECT_EQ(fit_digest(Gbdt(), train, 82), "52f49effbfcff296");
-  EXPECT_EQ(fit_digest(RandomForest(), train, 83), "df9e7825d6ae19a4");
+  EXPECT_EQ(fit_digest(Gbdt(), train, 82), "d9b96330fd350e5b");
+  EXPECT_EQ(fit_digest(RandomForest(), train, 83), "c25f3899f577ef23");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential tests for the parallel training engine: fitting any tree
 // surrogate at 1, 2, and hardware_concurrency threads must produce the SAME
-// model — byte-identical serialization and bit-identical predictions. This
+// model — byte-identical binary images and bit-identical predictions. This
 // is the determinism contract of DESIGN.md "Parallel training & the binned
 // matrix": histogram construction parallelizes across features (each cell
 // sums its rows in serial order), forests give every tree its own seeded
@@ -69,7 +69,7 @@ std::vector<unsigned> thread_counts() {
   return {1u, 2u, std::max(4u, hw)};
 }
 
-/// Fit `model` with the given pinned thread count; returns the serialized
+/// Fit `model` with the given pinned thread count; returns its binary
 /// payload and predictions over a fixed query matrix.
 template <typename Model>
 std::pair<std::string, std::vector<double>> fit_fingerprint(
@@ -82,24 +82,24 @@ std::pair<std::string, std::vector<double>> fit_fingerprint(
   const auto rows = make_rows(128, 99);
   std::vector<double> preds(128);
   model.predict_matrix(rows, kNumFeatures, preds);
-  return {model.to_json().dump(), std::move(preds)};
+  return {binary_image(model), std::move(preds)};
 }
 
 template <typename Model>
 void expect_thread_invariant_fit(Model&& make_model, const Dataset& train,
                                  std::uint64_t fit_seed) {
-  std::string ref_json;
+  std::string ref_image;
   std::vector<double> ref_preds;
   for (const unsigned t : thread_counts()) {
     auto model = make_model();
-    auto [json, preds] = fit_fingerprint(model, train, fit_seed, t);
-    if (ref_json.empty()) {
-      ref_json = std::move(json);
+    auto [image, preds] = fit_fingerprint(model, train, fit_seed, t);
+    if (ref_image.empty()) {
+      ref_image = std::move(image);
       ref_preds = std::move(preds);
       continue;
     }
-    EXPECT_EQ(ref_json, json) << "serialization differs at " << t
-                              << " threads";
+    EXPECT_EQ(ref_image, image) << "binary image differs at " << t
+                                << " threads";
     ASSERT_EQ(ref_preds.size(), preds.size());
     for (std::size_t i = 0; i < preds.size(); ++i) {
       // EXPECT_EQ on doubles is exact — bit-identity for non-NaN values.
@@ -161,7 +161,7 @@ TEST(ParallelFitTest, ContextFitMatchesPlainFit) {
     Rng r1(31), r2(31);
     plain.fit(train, r1);
     shared.fit(train, ctx, r2);
-    EXPECT_EQ(plain.to_json().dump(), shared.to_json().dump());
+    EXPECT_EQ(binary_image(plain), binary_image(shared));
   }
   {
     GbdtParams params;
@@ -170,7 +170,7 @@ TEST(ParallelFitTest, ContextFitMatchesPlainFit) {
     Rng r1(32), r2(32);
     plain.fit(train, r1);
     shared.fit(train, ctx, r2);
-    EXPECT_EQ(plain.to_json().dump(), shared.to_json().dump());
+    EXPECT_EQ(binary_image(plain), binary_image(shared));
   }
   {
     RandomForestParams params;
@@ -179,7 +179,7 @@ TEST(ParallelFitTest, ContextFitMatchesPlainFit) {
     Rng r1(33), r2(33);
     plain.fit(train, r1);
     shared.fit(train, ctx, r2);
-    EXPECT_EQ(plain.to_json().dump(), shared.to_json().dump());
+    EXPECT_EQ(binary_image(plain), binary_image(shared));
   }
   {
     SvrParams params;
@@ -188,7 +188,7 @@ TEST(ParallelFitTest, ContextFitMatchesPlainFit) {
     Rng r1(34), r2(34);
     plain.fit(train, r1);
     shared.fit(train, ctx, r2);
-    EXPECT_EQ(plain.to_json().dump(), shared.to_json().dump());
+    EXPECT_EQ(binary_image(plain), binary_image(shared));
   }
 }
 

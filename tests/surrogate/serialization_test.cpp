@@ -34,15 +34,23 @@ Dataset make_dataset(int n, std::uint64_t seed) {
   return ds;
 }
 
+/// Save `model` into an in-memory .anbb image and load it back.
+std::unique_ptr<Surrogate> binary_round_trip(const Surrogate& model) {
+  bin::Writer w;
+  const Json meta = model.to_binary(w);
+  return surrogate_from_binary(meta,
+                               bin::Reader(io::Buffer::from_bytes(w.finish())));
+}
+
 class SerializationTest : public ::testing::Test {
  protected:
   void round_trip_and_compare(Surrogate& model) {
     const Dataset train = make_dataset(300, 1);
     Rng rng(2);
     model.fit(train, rng);
-    const Json payload = model.to_json();
-    const auto restored = surrogate_from_json(payload);
+    const auto restored = binary_round_trip(model);
     EXPECT_EQ(restored->name(), model.name());
+    EXPECT_EQ(binary_image(*restored), binary_image(model)) << model.name();
     Rng probe(3);
     std::vector<double> probe_rows;
     for (int i = 0; i < 50; ++i) {
@@ -50,11 +58,8 @@ class SerializationTest : public ::testing::Test {
                                   probe.uniform(),
                                   static_cast<double>(probe.bernoulli(0.5))};
       probe_rows.insert(probe_rows.end(), x.begin(), x.end());
-      EXPECT_DOUBLE_EQ(restored->predict(x), model.predict(x))
-          << model.name();
+      EXPECT_EQ(restored->predict(x), model.predict(x)) << model.name();
     }
-    // The restored model rebuilds its flattened forest from the decoded
-    // trees; its batched path must still match the original bit for bit.
     std::vector<double> original_batch(50), restored_batch(50);
     model.predict_batch(probe_rows, 4, original_batch);
     restored->predict_batch(probe_rows, 4, restored_batch);
@@ -62,10 +67,6 @@ class SerializationTest : public ::testing::Test {
       EXPECT_EQ(original_batch[static_cast<std::size_t>(i)],
                 restored_batch[static_cast<std::size_t>(i)])
           << model.name() << " batch row " << i;
-    // Text round trip too (what save/load does).
-    const auto reparsed = surrogate_from_json(Json::parse(payload.dump()));
-    const std::vector<double> x{0.1, 0.2, 0.3, 1.0};
-    EXPECT_NEAR(reparsed->predict(x), model.predict(x), 1e-12);
   }
 };
 
@@ -108,10 +109,11 @@ TEST_F(SerializationTest, NuSvrRoundTrips) {
 }
 
 TEST_F(SerializationTest, UnknownTypeRejected) {
+  const bin::Reader empty(io::Buffer::from_bytes(bin::Writer().finish()));
   Json j = Json::object();
   j["type"] = "gaussian-process";
-  EXPECT_THROW(surrogate_from_json(j), Error);
-  EXPECT_THROW(surrogate_from_json(Json::object()), Error);
+  EXPECT_THROW(surrogate_from_binary(j, empty), Error);
+  EXPECT_THROW(surrogate_from_binary(Json::object(), empty), Error);
 }
 
 TEST_F(SerializationTest, WrongTagRejectedByConcreteLoaders) {
@@ -121,9 +123,11 @@ TEST_F(SerializationTest, WrongTagRejectedByConcreteLoaders) {
   const Dataset train = make_dataset(50, 4);
   Rng rng(5);
   model.fit(train, rng);
-  Json j = model.to_json();
-  j["type"] = "rf";
-  EXPECT_THROW(Gbdt::from_json(j), Error);
+  bin::Writer w;
+  Json meta = model.to_binary(w);
+  const bin::Reader r(io::Buffer::from_bytes(w.finish()));
+  meta["type"] = "rf";
+  EXPECT_THROW(Gbdt::from_binary(meta, r), Error);
 }
 
 TEST_F(SerializationTest, EnsembleRoundTrips) {
@@ -135,79 +139,27 @@ TEST_F(SerializationTest, EnsembleRoundTrips) {
   round_trip_and_compare(model);
 }
 
-/// A fitted Gbdt payload with one tree node replaced by the given object.
-/// Lets the malformed-payload tests corrupt exactly one field at a time.
-Json gbdt_payload_with_node(const Json& node) {
-  GbdtParams p;
-  p.n_estimators = 3;
-  Gbdt model(p);
-  const Dataset train = make_dataset(50, 6);
-  Rng rng(7);
-  model.fit(train, rng);
-  Json j = model.to_json();
-  j["trees"].as_array()[0].as_array()[0] = node;
-  return j;
-}
-
-Json tree_node(int f, double t, int l, int r, double v) {
-  Json jn = Json::object();
-  jn["f"] = f;
-  jn["t"] = t;
-  jn["l"] = l;
-  jn["r"] = r;
-  jn["v"] = v;
-  return jn;
-}
-
-TEST_F(SerializationTest, DanglingChildIndexRejected) {
-  // Internal node pointing past the tree's node array.
-  EXPECT_THROW(
-      surrogate_from_json(gbdt_payload_with_node(
-          tree_node(/*f=*/0, /*t=*/0.5, /*l=*/9999, /*r=*/1, /*v=*/0.0))),
-      Error);
-  EXPECT_THROW(
-      surrogate_from_json(gbdt_payload_with_node(
-          tree_node(/*f=*/0, /*t=*/0.5, /*l=*/1, /*r=*/-3, /*v=*/0.0))),
-      Error);
-}
-
-TEST_F(SerializationTest, SelfChildRejectedByFlattening) {
-  // An internal node that is its own child passes the range check but
-  // would loop forever in traversal; the flattened-forest rebuild inside
-  // from_json must reject it (leaves are the only legal self-loops).
-  EXPECT_THROW(
-      surrogate_from_json(gbdt_payload_with_node(
-          tree_node(/*f=*/0, /*t=*/0.5, /*l=*/0, /*r=*/1, /*v=*/0.0))),
-      Error);
-}
-
-TEST_F(SerializationTest, MissingFieldsRejected) {
-  GbdtParams p;
-  p.n_estimators = 3;
-  Gbdt model(p);
-  const Dataset train = make_dataset(50, 8);
-  Rng rng(9);
-  model.fit(train, rng);
-
-  Json no_trees = model.to_json();
-  no_trees.as_object().erase("trees");
-  EXPECT_THROW(surrogate_from_json(no_trees), Error);
-
-  Json bad_node = model.to_json();
-  bad_node["trees"].as_array()[0].as_array()[0].as_object().erase("t");
-  EXPECT_THROW(surrogate_from_json(bad_node), Error);
-}
-
 // ---------------------------------------------------------------------------
-// Corruption fuzz corpus over saved AccelNASBench payloads: truncations,
-// structural bit-flips, and field-drops. Every corrupted file must fail to
-// load with anb::Error — never a crash, hang, or silent partial load. The
-// whole corpus is seeded and enumerated deterministically, and the suite
-// runs under ASan/UBSan in CI, so any out-of-bounds read or UB in the
-// parse/decode path is caught, not just wrong error types.
+// Corruption fuzz corpus over saved .anbb artifacts: every corrupted file
+// must fail to load with anb::Error naming the file — never a crash, hang,
+// or silent partial load. The attack surface is the container's header
+// fields, section table, and raw payloads, plus the JSON meta section.
+// Corruptions come in two flavors:
+//
+//   - raw damage (truncations, bit-flips): the file-size field or the
+//     whole-file checksum must catch these before any offset is trusted;
+//   - *repatched* damage (tampered field + recomputed checksum): models a
+//     deliberately malformed file, so the structural validation itself —
+//     tag whitelist, power-of-two alignment, range/overlap/ordering
+//     checks, the forest shape, the meta record's fields — must reject it.
+//
+// The corpus is seeded and enumerated deterministically. Every case loads
+// through both MapMode::kCopy and MapMode::kMap, so the zero-copy mmap
+// path proves it never dereferences an unvalidated offset (the suite runs
+// under ASan/UBSan in CI).
 
 /// One small benchmark (accuracy + two perf surrogates of different
-/// families), shared by the text and binary fuzz corpora.
+/// families): the corpus template.
 AccelNASBench make_fuzz_benchmark() {
   const Dataset train = make_dataset(60, 11);
   const auto fitted = [&](std::unique_ptr<Surrogate> model) {
@@ -228,17 +180,10 @@ AccelNASBench make_fuzz_benchmark() {
   return bench;
 }
 
-const std::string& saved_benchmark_text() {
-  static const std::string text = make_fuzz_benchmark().to_json().dump();
-  return text;
-}
-
-/// Walks the document in deterministic order and erases the `target`-th
+/// Walks the meta record in deterministic order and erases the `target`-th
 /// droppable object key. Keys whose removal legally yields a *valid*
-/// benchmark are not droppable: the optional top-level "accuracy", the
-/// entries of the top-level "perf" map (each perf surrogate is optional),
-/// and the top-level "space" tag (absent in pre-multi-space artifacts,
-/// which load as MnasNet).
+/// benchmark are not droppable: the optional top-level "accuracy" and the
+/// entries of the top-level "perf" map (each perf surrogate is optional).
 /// Returns true once a key was erased; `target` counts down in-place.
 bool drop_nth_key(Json& j, int& target, bool is_root, bool is_perf_map) {
   if (j.is_array()) {
@@ -249,9 +194,7 @@ bool drop_nth_key(Json& j, int& target, bool is_root, bool is_perf_map) {
   }
   if (!j.is_object()) return false;
   for (auto& [key, child] : j.as_object()) {
-    const bool droppable =
-        !is_perf_map &&
-        !(is_root && (key == "accuracy" || key == "space"));
+    const bool droppable = !is_perf_map && !(is_root && key == "accuracy");
     if (droppable && target-- == 0) {
       j.as_object().erase(key);
       return true;
@@ -261,129 +204,6 @@ bool drop_nth_key(Json& j, int& target, bool is_root, bool is_perf_map) {
   }
   return false;
 }
-
-class BenchmarkCorruptionFuzz : public ::testing::Test {
- protected:
-  /// Writes `payload` to a scratch file and requires load() to reject it
-  /// with anb::Error specifically.
-  void expect_load_throws(const std::string& payload, const std::string& what) {
-    const std::string path =
-        ::testing::TempDir() + "anb_corruption_fuzz.json";
-    write_text_file(path, payload);
-    try {
-      AccelNASBench::load(path);
-      ADD_FAILURE() << "corrupted payload loaded successfully: " << what;
-    } catch (const Error& e) {
-      // Expected: the anb::Error family, never std:: exceptions or UB —
-      // and the message must name the offending file.
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-          << what << ": error does not name the offending path";
-    }
-    ++cases_;
-  }
-
-  int cases_ = 0;
-};
-
-TEST_F(BenchmarkCorruptionFuzz, TruncationsAlwaysThrow) {
-  const std::string& text = saved_benchmark_text();
-  // 120 strict prefixes spread over the document, including the empty one.
-  const int kCuts = 120;
-  for (int i = 0; i < kCuts; ++i) {
-    const std::size_t cut = text.size() * static_cast<std::size_t>(i) /
-                            static_cast<std::size_t>(kCuts);
-    expect_load_throws(text.substr(0, cut),
-                       "truncation at " + std::to_string(cut));
-  }
-  EXPECT_EQ(cases_, kCuts);
-}
-
-TEST_F(BenchmarkCorruptionFuzz, StructuralBitFlipsAlwaysThrow) {
-  const std::string& text = saved_benchmark_text();
-  std::vector<std::size_t> structural;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char ch = text[i];
-    if (ch == '{' || ch == '}' || ch == '[' || ch == ']' || ch == ':')
-      structural.push_back(i);
-  }
-  ASSERT_GT(structural.size(), 10u);
-
-  Rng rng(0xF1A9);
-  const int kFlips = 60;
-  for (int i = 0; i < kFlips; ++i) {
-    const std::size_t pos = structural[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(structural.size()) - 1))];
-    const int bit = static_cast<int>(rng.uniform_int(0, 7));
-    std::string corrupted = text;
-    corrupted[pos] = static_cast<char>(
-        static_cast<unsigned char>(corrupted[pos]) ^ (1u << bit));
-    expect_load_throws(corrupted, "bit " + std::to_string(bit) + " at " +
-                                      std::to_string(pos));
-  }
-  EXPECT_EQ(cases_, kFlips);
-}
-
-TEST_F(BenchmarkCorruptionFuzz, FieldDropsAlwaysThrow) {
-  const Json parsed = Json::parse(saved_benchmark_text());
-  // Count droppable keys with a dry run of the same deterministic walk.
-  int total = 0;
-  while (true) {
-    Json probe = parsed;
-    int target = total;
-    if (!drop_nth_key(probe, target, true, false)) break;
-    ++total;
-  }
-  ASSERT_GE(total, 30);
-
-  for (int k = 0; k < total; ++k) {
-    Json corrupted = parsed;
-    int target = k;
-    ASSERT_TRUE(drop_nth_key(corrupted, target, true, false));
-    expect_load_throws(corrupted.dump(), "field drop #" + std::to_string(k));
-  }
-  EXPECT_EQ(cases_, total);
-}
-
-TEST_F(BenchmarkCorruptionFuzz, CorpusMeetsMinimumSize) {
-  // The three generators above enumerate deterministically; this guards
-  // the corpus floor the robustness contract promises (>= 200 cases).
-  const Json parsed = Json::parse(saved_benchmark_text());
-  int drops = 0;
-  while (true) {
-    Json probe = parsed;
-    int target = drops;
-    if (!drop_nth_key(probe, target, true, false)) break;
-    ++drops;
-  }
-  EXPECT_GE(120 + 60 + drops, 200);
-}
-
-TEST_F(BenchmarkCorruptionFuzz, UncorruptedPayloadStillLoads) {
-  // Control case: the corpus template itself round-trips, so every failure
-  // above is attributable to the injected corruption.
-  const std::string path = ::testing::TempDir() + "anb_fuzz_control.json";
-  write_text_file(path, saved_benchmark_text());
-  const AccelNASBench bench = AccelNASBench::load(path);
-  EXPECT_TRUE(bench.has_accuracy());
-  EXPECT_EQ(bench.perf_targets().size(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Binary (.anbb) corruption fuzz corpus. Same contract as the text corpus
-// — every corrupted file throws anb::Error, never a crash or silent load —
-// but the attack surface is different: the container's header fields,
-// section table, and raw payloads. Corruptions come in two flavors:
-//
-//   - raw damage (truncations, bit-flips): the file-size field or the
-//     whole-file checksum must catch these before any offset is trusted;
-//   - *repatched* damage (tampered field + recomputed checksum): models a
-//     deliberately malformed file, so the structural validation itself —
-//     tag whitelist, power-of-two alignment, range/overlap/ordering checks
-//     — must reject it.
-//
-// Every case loads through both MapMode::kCopy and MapMode::kMap, so the
-// zero-copy mmap path proves it never dereferences an unvalidated offset
-// (the suite runs under ASan/UBSan in CI).
 
 std::uint32_t load_u32(const std::string& b, std::size_t at) {
   std::uint32_t v = 0;
@@ -440,6 +260,29 @@ const std::string& saved_benchmark_anbb() {
     return std::string(buf->data(), buf->size());
   }();
   return bytes;
+}
+
+/// The template's meta record (the last section).
+Json saved_meta(const std::string& good, const std::vector<TableEntry>& table) {
+  const TableEntry& e = table.back();
+  return Json::parse(good.substr(static_cast<std::size_t>(e.offset),
+                                 static_cast<std::size_t>(e.size)));
+}
+
+/// The image with its meta section (written last) replaced by `meta`; the
+/// section size, the file-size field and the checksum are patched to
+/// match, so only the meta record's own validation can reject it.
+std::string with_meta(const std::string& good,
+                      const std::vector<TableEntry>& table, const Json& meta) {
+  const TableEntry& e = table.back();
+  const std::string text = meta.dump();
+  std::string bad = good.substr(0, static_cast<std::size_t>(e.offset)) + text +
+                    good.substr(static_cast<std::size_t>(e.offset + e.size));
+  store_u64(bad,
+            bin::kHeaderSize + (table.size() - 1) * bin::kSectionEntrySize + 16,
+            text.size());
+  store_u64(bad, 24, bad.size());
+  return repatch_checksum(std::move(bad));
 }
 
 /// The deterministic corpus: (label, corrupted file image) pairs.
@@ -594,12 +437,76 @@ std::vector<std::pair<std::string, std::string>> binary_corruption_corpus() {
                         repatch_checksum(std::move(bad)));
   }
 
+  // --- Forest payload tampering, checksum repatched: FlatForest's shape
+  // validation must reject a dangling child, an internal node that is its
+  // own child, a back edge to an ancestor (a cycle), and a child shared by
+  // two parents. Node 0 of each node section is its first tree's root.
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (table[i].tag != static_cast<std::uint32_t>(bin::Tag::kFlatNode))
+      continue;
+    const auto field = [&](std::int32_t node, std::size_t offset) {
+      return static_cast<std::size_t>(table[i].offset) +
+             static_cast<std::size_t>(node) * sizeof(FlatNode) + offset;
+    };
+    constexpr std::size_t kLeft = offsetof(FlatNode, left);
+    constexpr std::size_t kRight = offsetof(FlatNode, right);
+    const auto child = [&](std::int32_t node, std::size_t which) {
+      return static_cast<std::int32_t>(load_u32(good, field(node, which)));
+    };
+    const auto tampered = [&](const std::string& what, std::int32_t node,
+                              std::size_t which, std::int32_t value) {
+      std::string bad = good;
+      store_u32(bad, field(node, which), static_cast<std::uint32_t>(value));
+      corpus.emplace_back("node section " + std::to_string(i) + ": " + what,
+                          repatch_checksum(std::move(bad)));
+    };
+    tampered("dangling child past the tree", 0, kLeft, 1 << 20);
+    tampered("dangling negative child", 0, kRight, -3);
+    tampered("internal self-child", 0, kLeft, 0);
+    tampered("shared child", 0, kRight, child(0, kLeft));
+    for (const std::int32_t c : {child(0, kLeft), child(0, kRight)}) {
+      if (child(c, kLeft) == c) continue;  // a leaf
+      tampered("back edge to the root", c, kLeft, 0);
+      break;
+    }
+  }
+
+  // --- Meta record tampering, section and file size repatched: dropping
+  // any required key, an unknown format tag, or an unknown or wrong
+  // surrogate type tag must be rejected by the meta parse or
+  // surrogate_from_binary.
+  const Json meta = saved_meta(good, table);
+  for (int k = 0;; ++k) {
+    Json bad = meta;
+    int target = k;
+    if (!drop_nth_key(bad, target, true, false)) break;
+    corpus.emplace_back("meta key drop #" + std::to_string(k),
+                        with_meta(good, table, bad));
+  }
+  {
+    Json bad = meta;
+    bad["format"] = "not-a-benchmark";
+    corpus.emplace_back("meta: unknown format tag",
+                        with_meta(good, table, bad));
+  }
+  {
+    Json bad = meta;
+    bad["accuracy"]["type"] = "gaussian-process";
+    corpus.emplace_back("meta: unknown type tag", with_meta(good, table, bad));
+  }
+  for (const char* wrong : {"lgb", "rf", "esvr", "ensemble"}) {
+    Json bad = meta;
+    bad["accuracy"]["type"] = wrong;
+    corpus.emplace_back(std::string("meta: xgb model tagged ") + wrong,
+                        with_meta(good, table, bad));
+  }
+
   return corpus;
 }
 
 class BinaryCorruptionFuzz : public ::testing::Test {
  protected:
-  /// Writes the image to a scratch file and requires load_binary to reject
+  /// Writes the image to a scratch file and requires open to reject
   /// it with anb::Error — through the heap path and the mmap path — with
   /// the offending path named in the message.
   void expect_rejected(const std::string& label, const std::string& image) {
@@ -607,7 +514,7 @@ class BinaryCorruptionFuzz : public ::testing::Test {
     io::write_file(path, {image.data(), image.size()});
     for (const io::MapMode mode : {io::MapMode::kCopy, io::MapMode::kMap}) {
       try {
-        AccelNASBench::load_binary(path, mode);
+        AccelNASBench::open(path, mode);
         ADD_FAILURE() << "corrupted artifact loaded: " << label;
       } catch (const Error& e) {
         EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
@@ -623,20 +530,36 @@ TEST_F(BinaryCorruptionFuzz, EveryCorruptionThrowsAnbError) {
 }
 
 TEST_F(BinaryCorruptionFuzz, CorpusMeetsMinimumSize) {
-  // The robustness contract promises >= 200 deterministic binary cases.
-  EXPECT_GE(binary_corruption_corpus().size(), 200u);
+  // The robustness contract promises >= 200 deterministic cases, and every
+  // tampering family must have produced at least one.
+  const auto corpus = binary_corruption_corpus();
+  EXPECT_GE(corpus.size(), 200u);
+  for (const char* kind :
+       {"truncation", "bit flip", "section 0:", "space id", "dangling child",
+        "self-child", "shared child", "back edge", "meta key drop",
+        "unknown format tag", "unknown type tag", "tagged rf"}) {
+    int found = 0;
+    for (const auto& entry : corpus)
+      found += entry.first.find(kind) != std::string::npos ? 1 : 0;
+    EXPECT_GT(found, 0) << kind;
+  }
 }
 
 TEST_F(BinaryCorruptionFuzz, UncorruptedArtifactStillLoads) {
-  // Control: the template itself loads in both modes, so every rejection
-  // above is attributable to the injected corruption.
+  // Control: the template itself, and the template with its meta section
+  // rewritten unchanged through with_meta(), load in both modes, so every
+  // rejection above is attributable to the injected corruption.
   const std::string path = ::testing::TempDir() + "anb_fuzz_control.anbb";
   const std::string& good = saved_benchmark_anbb();
-  io::write_file(path, {good.data(), good.size()});
-  for (const io::MapMode mode : {io::MapMode::kCopy, io::MapMode::kMap}) {
-    const AccelNASBench bench = AccelNASBench::load_binary(path, mode);
-    EXPECT_TRUE(bench.has_accuracy());
-    EXPECT_EQ(bench.perf_targets().size(), 2u);
+  const std::vector<TableEntry> table = parse_section_table(good);
+  for (const std::string& image :
+       {good, with_meta(good, table, saved_meta(good, table))}) {
+    io::write_file(path, {image.data(), image.size()});
+    for (const io::MapMode mode : {io::MapMode::kCopy, io::MapMode::kMap}) {
+      const AccelNASBench bench = AccelNASBench::open(path, mode);
+      EXPECT_TRUE(bench.has_accuracy());
+      EXPECT_EQ(bench.perf_targets().size(), 2u);
+    }
   }
 }
 

@@ -26,6 +26,7 @@
 #include "anb/surrogate/flat_forest.hpp"
 #include "anb/surrogate/tree.hpp"
 #include "anb/util/error.hpp"
+#include "anb/util/io.hpp"
 #include "anb/util/parallel.hpp"
 #include "anb/util/rng.hpp"
 #include "anb/util/simd.hpp"
@@ -205,6 +206,30 @@ TEST(SimdDescentTest, ManyThresholdsDisableQuantizedAndMasked) {
   ScopedDescentPath sp(DescentPath::kMasked);
   std::vector<double> out(rows.size(), 0.0);
   EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error);
+}
+
+/// Adopts one hand-made tree through the artifact-load constructor.
+FlatForest adopt(std::vector<FlatNode> nodes) {
+  return FlatForest(io::ArrayRef<FlatNode>(std::move(nodes)),
+                    io::ArrayRef<std::int32_t>(std::vector<std::int32_t>{0}));
+}
+
+TEST(SimdDescentTest, LoadConstructorRejectsNonTreeShapes) {
+  // Root 0 splits into nodes 1 and 2; node 2 is a self-looping leaf.
+  const FlatNode leaf2{3.0, 0, 2, 2, 0};
+  // Back edge: node 1 routes left to its parent, a cycle that would spin
+  // predict_tree and the interleaved walk forever and send the masked
+  // tables' in-order walk into unbounded recursion.
+  EXPECT_THROW(adopt({{0.5, 0, 1, 2, 0}, {0.25, 0, 0, 2, 0}, leaf2}), Error);
+  // An internal node that is its own child.
+  EXPECT_THROW(adopt({{0.5, 0, 0, 2, 0}, {1.0, 0, 1, 1, 0}, leaf2}), Error);
+  // Both branches of the root reach node 1: a DAG, not a tree.
+  EXPECT_THROW(adopt({{0.5, 0, 1, 1, 0}, {1.0, 0, 1, 1, 0}, leaf2}), Error);
+  // The well-formed shape loads and walks to its leaves.
+  const FlatForest ok = adopt({{0.5, 0, 1, 2, 0}, {1.0, 0, 1, 1, 0}, leaf2});
+  EXPECT_EQ(ok.predict_tree(0, std::vector<double>{0.0}), 1.0);
+  EXPECT_EQ(ok.predict_tree(0, std::vector<double>{1.0}), 3.0);
+  EXPECT_TRUE(ok.masked_available());
 }
 
 // ---------------------------------------------------------------------------

@@ -153,26 +153,6 @@ TEST(TreeTest, PredictValidatesDimensions) {
   EXPECT_THROW(tree.predict(std::vector<double>{1.0}), Error);
 }
 
-TEST(TreeTest, JsonRoundTripPreservesPredictions) {
-  TreeParams params;
-  params.max_depth = 3;
-  Dataset ds(3);
-  Rng rng(5);
-  for (int i = 0; i < 64; ++i) {
-    std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform()};
-    const double y = 2.0 * x[0] - x[1] * x[2];
-    ds.add(x, y);
-  }
-  const RegressionTree tree = fit_variance_tree(ds, params);
-  const RegressionTree back = RegressionTree::from_json(tree.to_json());
-  Rng probe(6);
-  for (int i = 0; i < 50; ++i) {
-    const std::vector<double> x{probe.uniform(), probe.uniform(),
-                                probe.uniform()};
-    EXPECT_DOUBLE_EQ(back.predict(x), tree.predict(x));
-  }
-}
-
 TEST(TreeTest, ColumnIndexSortsColumns) {
   Dataset ds(2);
   ds.add(std::vector<double>{3.0, 0.0}, 0.0);

@@ -538,7 +538,7 @@ TEST(FrameworkTest, RunAllAggregatesAndJsonIsWellFormed) {
         "void f() { throw std::runtime_error(\"quote \\\" here\"); }\n"}});
   const RunResult result = run_all(tree);
   ASSERT_FALSE(result.findings.empty());
-  const std::string json = to_json(result.findings);
+  const std::string json = findings_json(result.findings);
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"pass\": \"throw-discipline\""), std::string::npos);
 

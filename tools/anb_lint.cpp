@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
         pass_name.empty() ? anb::lint::run_all(tree)
                           : anb::lint::run_pass(tree, pass_name);
     if (json) {
-      const std::string out = anb::lint::to_json(result.findings);
+      const std::string out = anb::lint::findings_json(result.findings);
       std::fwrite(out.data(), 1, out.size(), stdout);
     }
     print_findings(result.findings, result.files_scanned, result.suppressed);

@@ -2,13 +2,8 @@
 //
 //   anbench build  [--out FILE] [--archs N] [--tune] [--energy]
 //                  [--proxy-search] [--seed S]
-//       Construct a benchmark (Fig. 2 pipeline) and save it. The output
-//       format follows the --out extension: .anbb writes the zero-copy
-//       binary container, anything else writes JSON.
-//
-//   anbench convert --bench FILE --out FILE
-//       Re-save a benchmark in the format implied by the --out extension
-//       (.anbb binary container <-> JSON text).
+//       Construct a benchmark (Fig. 2 pipeline) and save it as a .anbb
+//       artifact (default accel_nasbench.anbb).
 //
 //   anbench info   --bench FILE
 //       List the surrogates a saved benchmark contains.
@@ -62,7 +57,7 @@ using namespace anb;
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
-               "usage: anbench <build|convert|info|query|search|serve|"
+               "usage: anbench <build|info|query|search|serve|"
                "query-remote|random> [options]\n"
                "run with a command and no options for per-command help; see "
                "the header of tools/anbench.cpp for details.\n");
@@ -111,22 +106,6 @@ const SearchSpace& space_arg(const Args& args) {
   return space_from_name(args.get("space", "mnasnet"));
 }
 
-/// True when `path` names the zero-copy binary container format.
-bool wants_binary(const std::string& path) {
-  const std::string ext = ".anbb";
-  return path.size() >= ext.size() &&
-         path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
-}
-
-/// Save in the format the output extension asks for.
-void save_as(const AccelNASBench& bench, const std::string& out) {
-  if (wants_binary(out)) {
-    bench.save_binary(out);
-  } else {
-    bench.save(out);
-  }
-}
-
 int cmd_build(const Args& args) {
   PipelineOptions options;
   options.world_seed =
@@ -141,7 +120,7 @@ int cmd_build(const Args& args) {
     for (const Device& device : extended_device_catalog())
       options.devices.push_back(device.kind());
   }
-  const std::string out = args.get("out", "accel_nasbench.json");
+  const std::string out = args.get("out", "accel_nasbench.anbb");
 
   std::printf("building benchmark: space=%s, %d archs, tune=%s, energy=%s, "
               "memory=%s, proxy-search=%s\n",
@@ -156,18 +135,8 @@ int cmd_build(const Args& args) {
     std::printf("  %-14s R2 %.3f tau %.3f MAE %.3g\n", name.c_str(),
                 metrics.r2, metrics.kendall_tau, metrics.mae);
   }
-  save_as(result.bench, out);
+  result.bench.save_binary(out);
   std::printf("saved %s\n", out.c_str());
-  return 0;
-}
-
-int cmd_convert(const Args& args) {
-  const std::string in = args.require("bench");
-  const std::string out = args.require("out");
-  const AccelNASBench bench = AccelNASBench::open(in);
-  save_as(bench, out);
-  std::printf("converted %s -> %s (%s)\n", in.c_str(), out.c_str(),
-              wants_binary(out) ? "binary .anbb" : "JSON text");
   return 0;
 }
 
@@ -290,7 +259,6 @@ int main(int argc, char** argv) {
   const Args args(argc, argv, 2);
   try {
     if (command == "build") return cmd_build(args);
-    if (command == "convert") return cmd_convert(args);
     if (command == "info") return cmd_info(args);
     if (command == "query") return cmd_query(args);
     if (command == "search") return cmd_search(args);

@@ -83,6 +83,6 @@ RunResult run_all(const Tree& tree);
 
 /// Machine-readable findings: a JSON array of
 /// {"path": ..., "line": N, "pass": ..., "message": ...}.
-std::string to_json(const std::vector<Finding>& findings);
+std::string findings_json(const std::vector<Finding>& findings);
 
 }  // namespace anb::lint

@@ -110,7 +110,7 @@ RunResult run_all(const Tree& tree) {
   return result;
 }
 
-std::string to_json(const std::vector<Finding>& findings) {
+std::string findings_json(const std::vector<Finding>& findings) {
   std::string out = "[";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     if (i > 0) out += ",";
