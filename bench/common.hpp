@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -37,14 +38,15 @@ inline bool fast_mode() {
 /// Paper-scale dataset size (~5.2k architectures) unless fast mode.
 inline int collection_size() { return fast_mode() ? 1000 : 5200; }
 
-inline TrainingSimulator make_simulator() {
-  return TrainingSimulator(kWorldSeed);
+/// The MnasNet simulator of the shared simulated "reality".
+inline std::unique_ptr<SpaceSim> make_simulator() {
+  return make_space_sim(SpaceId::kMnasNet, kWorldSeed);
 }
 
 /// Collect the paper's datasets once (accuracy + all device metrics).
 inline CollectedData collect_datasets(bool with_perf = true) {
-  TrainingSimulator sim = make_simulator();
-  DataCollector collector(sim, device_catalog());
+  const auto sim = make_simulator();
+  DataCollector collector(*sim, device_catalog());
   CollectionConfig config;
   config.n_archs = collection_size();
   config.seed = hash_combine(kWorldSeed, 0xC011EC7);

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace anb;
   bench::print_header("E2: validation of p* on unseen models", "Figure 3");
 
-  TrainingSimulator sim = bench::make_simulator();
+  const auto sim = bench::make_simulator();
   const TrainingScheme p_star = canonical_p_star();
   const TrainingScheme ref = reference_scheme();
 
@@ -32,14 +32,13 @@ int main(int argc, char** argv) {
                  "acc_proxy_std"});
 
   for (int m = 0; m < n_models; ++m) {
-    const Architecture arch =
-        MnasSpace::to_blocks(MnasSpace::instance().sample(rng));
+    const Arch arch = sim->space().sample(rng);
     std::vector<double> proxy_runs, ref_runs;
     for (int s = 0; s < n_seeds; ++s) {
       proxy_runs.push_back(
-          sim.train(arch, p_star, static_cast<std::uint64_t>(s)).top1);
+          sim->train(arch, p_star, static_cast<std::uint64_t>(s)).top1);
       ref_runs.push_back(
-          sim.train(arch, ref, static_cast<std::uint64_t>(s)).top1);
+          sim->train(arch, ref, static_cast<std::uint64_t>(s)).top1);
     }
     mean_proxy.push_back(mean(proxy_runs));
     mean_ref.push_back(mean(ref_runs));

@@ -45,11 +45,11 @@ int main() {
   }
 
   // 4. What one of those queries would have cost without the benchmark.
-  TrainingSimulator sim(options.world_seed);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, options.world_seed);
   std::printf("\nwithout the benchmark, evaluating my_arch would cost %.1f "
               "GPU-hours (proxy)\nor %.1f GPU-hours (reference scheme)\n",
-              sim.training_cost_hours(my_blocks, result.p_star),
-              sim.training_cost_hours(my_blocks, reference_scheme()));
+              sim->training_cost_hours(my_arch, result.p_star),
+              sim->training_cost_hours(my_arch, reference_scheme()));
 
   // 5. Persist and reopen. The .anbb extension selects the zero-copy
   //    binary container: open() mmaps the node arrays in place, so the

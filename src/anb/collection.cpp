@@ -139,13 +139,7 @@ void drop_quarantined(std::vector<T>& v,
 }  // namespace
 
 DataCollector::DataCollector(const SpaceSim& sim, std::vector<Device> devices)
-    : sim_(&sim), devices_(std::move(devices)) {}
-
-DataCollector::DataCollector(const TrainingSimulator& simulator,
-                             std::vector<Device> devices)
-    : owned_(std::make_unique<MnasSpaceSim>(simulator)),
-      sim_(owned_.get()),
-      devices_(std::move(devices)) {}
+    : sim_(sim), devices_(std::move(devices)) {}
 
 CollectedData DataCollector::collect(const CollectionConfig& config) const {
   ANB_CHECK(config.n_archs >= 1, "DataCollector: n_archs must be >= 1");
@@ -153,7 +147,7 @@ CollectedData DataCollector::collect(const CollectionConfig& config) const {
   config.retry.validate();
   ANB_SPAN("anb.collect");
 
-  const SearchSpace& sp = sim_->space();
+  const SearchSpace& sp = sim_.space();
   CollectedData data;
   data.space = sp.id();
   Rng rng(config.seed);
@@ -175,7 +169,7 @@ CollectedData DataCollector::collect(const CollectionConfig& config) const {
     ANB_SPAN("anb.collect.accuracy");
     parallel_for(n, [&](std::size_t i) {
       const TrainResult run =
-          sim_->train(data.archs[i], config.scheme, /*run_seed=*/i);
+          sim_.train(data.archs[i], config.scheme, /*run_seed=*/i);
       data.accuracy[i] = run.top1;
       gpu_hours[i] = run.gpu_hours;
     });
@@ -190,7 +184,7 @@ CollectedData DataCollector::collect(const CollectionConfig& config) const {
     {
       ANB_SPAN("anb.collect.ir_build");
       parallel_for(n, [&](std::size_t i) {
-        irs[i] = sim_->lower(data.archs[i], 224);
+        irs[i] = sim_.lower(data.archs[i], 224);
       });
     }
 

@@ -13,16 +13,13 @@
 
 namespace anb {
 
-ProxySearch::ProxySearch(const SpaceSim& sim) : sim_(&sim) {}
-
-ProxySearch::ProxySearch(const TrainingSimulator& simulator)
-    : owned_(std::make_unique<MnasSpaceSim>(simulator)), sim_(owned_.get()) {}
+ProxySearch::ProxySearch(const SpaceSim& sim) : sim_(sim) {}
 
 std::vector<Arch> ProxySearch::stratified_models(int n, Rng& rng) const {
   ANB_CHECK(n >= 2, "ProxySearch::stratified_models: n must be >= 2");
   // Draw a pool, dedupe, then stratify by FLOPs into n quantile buckets and
   // pick the params-median model of each bucket (even FLOPs x params spread).
-  const SearchSpace& sp = sim_->space();
+  const SearchSpace& sp = sim_.space();
   const int pool_size = std::max(40 * n, 400);
   struct PoolEntry {
     Arch arch;
@@ -34,7 +31,7 @@ std::vector<Arch> ProxySearch::stratified_models(int n, Rng& rng) const {
   while (static_cast<int>(pool.size()) < pool_size) {
     Arch arch = sp.sample(rng);
     if (!seen.insert(sp.to_index(arch)).second) continue;
-    const ModelIR ir = sim_->lower(arch, 224);
+    const ModelIR ir = sim_.lower(arch, 224);
     pool.push_back({arch, static_cast<double>(ir.total_macs()),
                     static_cast<double>(ir.total_params())});
   }
@@ -69,7 +66,7 @@ ProxyTrial ProxySearch::evaluate_scheme(
   std::vector<double> acc(models.size());
   double cost = 0.0;
   for (std::size_t i = 0; i < models.size(); ++i) {
-    const TrainResult run = sim_->train(models[i], scheme, /*run_seed=*/0);
+    const TrainResult run = sim_.train(models[i], scheme, /*run_seed=*/0);
     acc[i] = run.top1;
     cost += run.gpu_hours;
   }
@@ -99,7 +96,7 @@ ProxySearchOutcome ProxySearch::finalize(
   out.best_cost_hours = best->cost_hours;
   double ref_cost = 0.0;
   for (const auto& m : models)
-    ref_cost += sim_->training_cost_hours(m, reference_scheme());
+    ref_cost += sim_.training_cost_hours(m, reference_scheme());
   out.reference_cost_hours = ref_cost / static_cast<double>(models.size());
   out.speedup = out.reference_cost_hours / out.best_cost_hours;
   out.trials = std::move(trials);
@@ -111,7 +108,7 @@ ProxySearchOutcome ProxySearch::run_grid(const ProxySearchConfig& config) const 
   const auto models = stratified_models(config.n_models, rng);
   std::vector<double> ref_acc(models.size());
   for (std::size_t i = 0; i < models.size(); ++i)
-    ref_acc[i] = sim_->train(models[i], reference_scheme(), 0).top1;
+    ref_acc[i] = sim_.train(models[i], reference_scheme(), 0).top1;
 
   std::vector<ProxyTrial> trials;
   for (const auto& scheme : config.domains.enumerate_valid()) {
@@ -167,7 +164,7 @@ ProxySearchOutcome ProxySearch::run_with(const std::string& optimizer,
   const auto models = stratified_models(config.n_models, rng);
   std::vector<double> ref_acc(models.size());
   for (std::size_t i = 0; i < models.size(); ++i)
-    ref_acc[i] = sim_->train(models[i], reference_scheme(), 0).top1;
+    ref_acc[i] = sim_.train(models[i], reference_scheme(), 0).top1;
 
   std::vector<ProxyTrial> trials;
   // Minimized objective: -τ, with an infeasibility penalty proportional to

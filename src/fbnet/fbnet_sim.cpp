@@ -83,7 +83,7 @@ double FbnetTrainingSimulator::arch_noise_unit(const FbnetArchitecture& arch,
 
 double FbnetTrainingSimulator::latent_quality(
     const FbnetArchitecture& arch) const {
-  FbnetSpace::validate(arch);
+  FbnetSpace::validate_ops(arch);
   double q = 0.0;
   int non_skip = 0;
   for (int i = 0; i < kFbnetNumLayers; ++i) {

@@ -91,6 +91,12 @@ class ChecksumStream {
   std::size_t total_ = 0;
 };
 
+/// True when `bytes` starts with the .anbb magic.
+bool has_magic(std::span<const char> bytes) {
+  return bytes.size() >= kMagicSize &&
+         std::memcmp(bytes.data(), kMagic, kMagicSize) == 0;
+}
+
 }  // namespace
 
 std::uint64_t checksum64(std::span<const char> bytes) {
@@ -99,11 +105,6 @@ std::uint64_t checksum64(std::span<const char> bytes) {
   ChecksumStream s;
   s.feed(bytes);
   return s.digest();
-}
-
-bool has_magic(std::span<const char> bytes) {
-  return bytes.size() >= kMagicSize &&
-         std::memcmp(bytes.data(), kMagic, kMagicSize) == 0;
 }
 
 std::uint32_t Writer::add_section(Tag tag, std::span<const char> payload,
@@ -166,11 +167,13 @@ Reader::Reader(std::shared_ptr<const io::Buffer> buffer)
   const std::span<const char> bytes = buffer_->bytes();
 
   // The actual buffer size is authoritative; nothing beyond it is ever
-  // read, which keeps a truncated-file mmap from faulting past EOF.
+  // read, which keeps a truncated-file mmap from faulting past EOF. The
+  // magic goes first, so any input that is not a .anbb (a JSON file, an
+  // empty file) reports that rather than its size.
+  ANB_CHECK(has_magic(bytes), "bin::Reader: bad magic (not a .anbb file)");
   ANB_CHECK(bytes.size() >= kHeaderSize,
             "bin::Reader: file too small for header (" +
                 std::to_string(bytes.size()) + " bytes)");
-  ANB_CHECK(has_magic(bytes), "bin::Reader: bad magic (not a .anbb file)");
   const std::uint32_t endian = load_u32(bytes.data() + 8);
   ANB_CHECK(endian == kEndianMarker,
             "bin::Reader: endianness mismatch (artifact written on an "

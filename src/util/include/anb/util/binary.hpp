@@ -152,7 +152,4 @@ class Reader {
   std::vector<Entry> entries_;
 };
 
-/// True when `bytes` starts with the .anbb magic.
-bool has_magic(std::span<const char> bytes);
-
 }  // namespace anb::bin

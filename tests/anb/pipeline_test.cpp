@@ -15,12 +15,11 @@ namespace {
 TEST(PipelineTest, CanonicalPStarIsValidAndCheap) {
   const TrainingScheme p = canonical_p_star();
   EXPECT_NO_THROW(p.validate());
-  TrainingSimulator sim(42);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, 42);
   Rng rng(1);
-  const Architecture arch =
-      MnasSpace::to_blocks(MnasSpace::instance().sample(rng));
-  const double proxy_cost = sim.training_cost_hours(arch, p);
-  const double ref_cost = sim.training_cost_hours(arch, reference_scheme());
+  const Arch arch = sim->space().sample(rng);
+  const double proxy_cost = sim->training_cost_hours(arch, p);
+  const double ref_cost = sim->training_cost_hours(arch, reference_scheme());
   EXPECT_GT(ref_cost / proxy_cost, 4.0);
   EXPECT_LT(ref_cost / proxy_cost, 12.0);
 }

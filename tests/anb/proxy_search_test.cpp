@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "anb/anb/pipeline.hpp"
@@ -26,8 +27,8 @@ ProxyDomains small_domains() {
 
 class ProxySearchTest : public ::testing::Test {
  protected:
-  TrainingSimulator sim_{42};
-  ProxySearch search_{sim_};
+  std::unique_ptr<SpaceSim> sim_ = make_space_sim(SpaceId::kMnasNet, 42);
+  ProxySearch search_{*sim_};
 };
 
 TEST_F(ProxySearchTest, StratifiedModelsSpreadOverComplexity) {
@@ -39,7 +40,7 @@ TEST_F(ProxySearchTest, StratifiedModelsSpreadOverComplexity) {
   for (const auto& m : models) {
     unique.insert(MnasSpace::instance().to_index(m));
     macs.push_back(static_cast<double>(
-        build_ir(MnasSpace::to_blocks(m), 224).total_macs()));
+        sim_->lower(m, 224).total_macs()));
   }
   EXPECT_EQ(unique.size(), models.size());
   // Coverage: largest at least 3x the smallest.
@@ -53,8 +54,7 @@ TEST_F(ProxySearchTest, EvaluateSchemeComputesTauAndCost) {
   const auto models = search_.stratified_models(12, rng);
   std::vector<double> ref;
   for (const auto& m : models)
-    ref.push_back(
-        sim_.train(MnasSpace::to_blocks(m), reference_scheme(), 0).top1);
+    ref.push_back(sim_->train(m, reference_scheme(), 0).top1);
 
   const auto trial = search_.evaluate_scheme(canonical_p_star(), models, ref,
                                              /*t_spec=*/5.0);

@@ -38,23 +38,25 @@ TEST(FbnetSpaceTest, CardinalityAboutTenToTheSeventeen) {
 }
 
 TEST(FbnetSpaceTest, ValidationEnforcesSkipLegality) {
-  EXPECT_TRUE(FbnetSpace::is_valid(all_op(FbnetOp::kE6K5)));
+  EXPECT_NO_THROW(FbnetSpace::from_ops(all_op(FbnetOp::kE6K5)));
   const FbnetArchitecture all_skip = all_op(FbnetOp::kSkip);
-  EXPECT_FALSE(FbnetSpace::is_valid(all_skip));  // strided layers can't skip
+  // Strided layers can't skip.
+  EXPECT_THROW(FbnetSpace::from_ops(all_skip), Error);
 
   FbnetArchitecture legal_skip = all_op(FbnetOp::kE3K3);
   legal_skip.ops[2] = FbnetOp::kSkip;  // a trailing stage-2 layer
-  EXPECT_TRUE(FbnetSpace::is_valid(legal_skip));
+  EXPECT_TRUE(
+      FbnetSpace::instance().is_valid(FbnetSpace::from_ops(legal_skip)));
   legal_skip.ops[1] = FbnetOp::kSkip;  // first (strided) layer of stage 2
-  EXPECT_FALSE(FbnetSpace::is_valid(legal_skip));
+  EXPECT_THROW(FbnetSpace::from_ops(legal_skip), Error);
 }
 
 TEST(FbnetSpaceTest, SampleValidAndVaried) {
   Rng rng(1);
   std::set<std::uint64_t> unique;
   for (int i = 0; i < 300; ++i) {
-    const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(rng));
-    FbnetSpace::validate(arch);
+    const Arch arch = FbnetSpace::instance().sample(rng);
+    FbnetSpace::instance().validate(arch);
     unique.insert(arch.hash());
   }
   EXPECT_GT(unique.size(), 295u);
@@ -63,13 +65,13 @@ TEST(FbnetSpaceTest, SampleValidAndVaried) {
 TEST(FbnetSpaceTest, MutateChangesOneLayer) {
   Rng rng(2);
   for (int i = 0; i < 200; ++i) {
-    const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(rng));
-    const FbnetArchitecture mutant = FbnetSpace::mutate(arch, rng);
-    FbnetSpace::validate(mutant);
+    const Arch arch = FbnetSpace::instance().sample(rng);
+    const Arch mutant = FbnetSpace::instance().mutate(arch, rng);
+    FbnetSpace::instance().validate(mutant);
     int diffs = 0;
     for (int l = 0; l < kFbnetNumLayers; ++l)
-      diffs += arch.ops[static_cast<std::size_t>(l)] !=
-               mutant.ops[static_cast<std::size_t>(l)];
+      diffs += arch.d[static_cast<std::size_t>(l)] !=
+               mutant.d[static_cast<std::size_t>(l)];
     EXPECT_EQ(diffs, 1);
   }
 }
@@ -91,8 +93,8 @@ TEST(FbnetSpaceTest, StringRoundTrip) {
 TEST(FbnetSpaceTest, FeaturesOneHot) {
   EXPECT_EQ(FbnetSpace::instance().feature_dim(), 154);
   Rng rng(4);
-  const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(rng));
-  const auto f = FbnetSpace::features(arch);
+  const Arch arch = FbnetSpace::instance().sample(rng);
+  const auto f = FbnetSpace::instance().features(arch);
   ASSERT_EQ(f.size(), 154u);
   double total = 0.0;
   for (double v : f) {
@@ -100,6 +102,13 @@ TEST(FbnetSpaceTest, FeaturesOneHot) {
     total += v;
   }
   EXPECT_DOUBLE_EQ(total, kFbnetNumLayers);
+  // Layer i's hot column is its op index.
+  for (int i = 0; i < kFbnetNumLayers; ++i) {
+    EXPECT_EQ(f[static_cast<std::size_t>(
+                  i * kFbnetNumOps + arch.d[static_cast<std::size_t>(i)])],
+              1.0)
+        << i;
+  }
 }
 
 TEST(FbnetSpaceTest, OpHelpers) {
@@ -167,8 +176,9 @@ TEST(FbnetSpaceContract, SkipLegalityHoldsThroughTheInterface) {
     const FbnetArchitecture arch = FbnetSpace::to_ops(sp().sample(rng));
     const auto& slots = FbnetSpace::slots();
     for (int l = 0; l < kFbnetNumLayers; ++l) {
-      if (arch.ops[static_cast<std::size_t>(l)] == FbnetOp::kSkip)
+      if (arch.ops[static_cast<std::size_t>(l)] == FbnetOp::kSkip) {
         EXPECT_TRUE(slots[static_cast<std::size_t>(l)].skip_allowed) << l;
+      }
     }
   }
   // And a genotype forged to skip on a strided layer is invalid.

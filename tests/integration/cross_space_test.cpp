@@ -12,6 +12,9 @@
 //     tagged with its space, survives a binary round-trip, and zero-cost
 //     search over it stays inside the space and is run-to-run
 //     bit-identical.
+//  3. The SpaceSim contract per space: make_space_sim returns exactly what
+//     the space's typed simulator and lowering return on the converted
+//     genotype, and rejects a genotype of the other space.
 
 #include <gtest/gtest.h>
 
@@ -22,9 +25,13 @@
 #include <string>
 
 #include "anb/anb/pipeline.hpp"
+#include "anb/fbnet/fbnet_sim.hpp"
 #include "anb/fbnet/fbnet_space.hpp"
+#include "anb/ir/model_ir.hpp"
 #include "anb/nas/evolution.hpp"
 #include "anb/nas/random_search.hpp"
+#include "anb/trainsim/simulator.hpp"
+#include "anb/util/error.hpp"
 
 namespace anb {
 namespace {
@@ -153,6 +160,70 @@ TEST(CrossSpacePipeline, MnasNetMiniPipelineRoundTrips) {
 TEST(CrossSpacePipeline, FbnetMiniPipelineRoundTrips) {
   mini_pipeline_roundtrip(SpaceId::kFbnet);
 }
+
+/// Every SpaceSim method against the typed simulator `typed` and lowering
+/// `lower` on `to_typed(arch)`, compared bit for bit.
+template <class TypedSim, class ToTyped, class Lower>
+void expect_matches_typed(const SpaceSim& sim, const TypedSim& typed,
+                          ToTyped to_typed, Lower lower) {
+  const TrainingScheme p = canonical_p_star();
+  Rng rng(23);
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    const Arch arch = sim.space().sample(rng);
+    const auto t = to_typed(arch);
+    const TrainResult got = sim.train(arch, p, i);
+    const TrainResult want = typed.train(t, p, i);
+    EXPECT_EQ(got.top1, want.top1);
+    EXPECT_EQ(got.gpu_hours, want.gpu_hours);
+    EXPECT_EQ(sim.reference_accuracy(arch), typed.reference_accuracy(t));
+    EXPECT_EQ(sim.expected_accuracy(arch, p), typed.expected_accuracy(t, p));
+    EXPECT_EQ(sim.training_cost_hours(arch, p),
+              typed.training_cost_hours(t, p));
+    const ModelIR ir = sim.lower(arch, 224);
+    const ModelIR want_ir = lower(t, 224);
+    EXPECT_EQ(ir.layers.size(), want_ir.layers.size());
+    EXPECT_EQ(ir.gflops(), want_ir.gflops());
+  }
+}
+
+class SpaceSimContract : public ::testing::TestWithParam<SpaceId> {};
+
+TEST_P(SpaceSimContract, MatchesTypedSimulatorAndRejectsOtherSpace) {
+  const SpaceId id = GetParam();
+  const auto sim = make_space_sim(id, 42);
+  ASSERT_EQ(sim->space().id(), id);
+  if (id == SpaceId::kMnasNet) {
+    expect_matches_typed(
+        *sim, TrainingSimulator(42),
+        [](const Arch& a) { return MnasSpace::to_blocks(a); },
+        [](const Architecture& a, int res) { return build_ir(a, res); });
+  } else {
+    expect_matches_typed(
+        *sim, FbnetTrainingSimulator(42),
+        [](const Arch& a) { return FbnetSpace::to_ops(a); },
+        [](const FbnetArchitecture& a, int res) {
+          return build_fbnet_ir(a, res);
+        });
+  }
+
+  const SpaceId other =
+      id == SpaceId::kMnasNet ? SpaceId::kFbnet : SpaceId::kMnasNet;
+  Rng rng(29);
+  const Arch foreign = anb::space(other).sample(rng);
+  const TrainingScheme p = canonical_p_star();
+  EXPECT_THROW(sim->train(foreign, p, 0), Error);
+  EXPECT_THROW(sim->reference_accuracy(foreign), Error);
+  EXPECT_THROW(sim->expected_accuracy(foreign, p), Error);
+  EXPECT_THROW(sim->training_cost_hours(foreign, p), Error);
+  EXPECT_THROW(sim->int8_accuracy_drop(foreign), Error);
+  EXPECT_THROW(sim->lower(foreign, 224), Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothSpaces, SpaceSimContract,
+                         ::testing::Values(SpaceId::kMnasNet, SpaceId::kFbnet),
+                         [](const ::testing::TestParamInfo<SpaceId>& p) {
+                           return std::string(space_name(p.param));
+                         });
 
 }  // namespace
 }  // namespace anb

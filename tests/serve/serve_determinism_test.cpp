@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -246,6 +247,13 @@ TEST_F(ServeDeterminismTest, BackpressureIsDeterministicUnderPause) {
     arch_by_id[id] = pool_[i];
     const auto frame = encode_query_accuracy(id, pool_[i]);
     ASSERT_TRUE(client.socket().send_all(frame));
+  }
+  // Resume only once the server has refused the six over-capacity frames:
+  // a reader thread still behind resume() would find a drained queue and
+  // admit them. Bounded (~10 s) so an over-admitting server fails, not hangs.
+  for (int polls = 0; server.report().retry_later < 6; ++polls) {
+    ASSERT_LT(polls, 10000) << "fewer than 6 frames refused while paused";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server.scheduler_for_test().resume();
 

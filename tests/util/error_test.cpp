@@ -42,6 +42,15 @@ TEST(AnbCheckTest, MessageKeepsUserTextAndAppendsFileLine) {
   EXPECT_EQ(msg.back(), ')');
 }
 
+TEST(AnbCheckTest, LocationIsRepoRelative) {
+  const int line = __LINE__ + 1;
+  const std::string msg = message_of([] { ANB_CHECK(false, "where"); });
+  const std::string want =
+      "(tests/util/error_test.cpp:" + std::to_string(line) + ")";
+  ASSERT_GE(msg.size(), want.size());
+  EXPECT_EQ(msg.substr(msg.size() - want.size()), want) << msg;
+}
+
 TEST(AnbCheckTest, ConditionOnlyEvaluatedOnce) {
   int evaluations = 0;
   ANB_CHECK([&] { return ++evaluations; }() > 0, "side effect");

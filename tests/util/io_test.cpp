@@ -130,7 +130,6 @@ TEST(BinaryContainerTest, WriterReaderRoundTrip) {
   EXPECT_EQ(w.add_array<std::int32_t>(bin::Tag::kI32, i32), 1u);
   EXPECT_EQ(w.add_section(bin::Tag::kMeta, {meta.data(), meta.size()}, 1), 2u);
   const std::vector<char> file = w.finish();
-  EXPECT_TRUE(bin::has_magic(file));
 
   const bin::Reader r(io::Buffer::from_bytes(std::vector<char>(file)));
   EXPECT_EQ(r.format_version(), bin::kFormatVersion);
@@ -184,14 +183,20 @@ TEST(BinaryContainerTest, NonPowerOfTwoAlignmentRejectedByWriter) {
   EXPECT_THROW(w.add_section(bin::Tag::kMeta, {payload.data(), 3}, 0), Error);
 }
 
-TEST(BinaryContainerTest, HasMagicSniffsCorrectly) {
-  bin::Writer w;
-  const std::vector<std::uint8_t> xs{1};
-  w.add_array<std::uint8_t>(bin::Tag::kU8, xs);
-  EXPECT_TRUE(bin::has_magic(w.finish()));
+TEST(BinaryContainerTest, ReaderRejectsInputWithoutMagic) {
+  // A JSON model file and an empty file are both "not a .anbb", whatever
+  // their size.
   const std::string json = "{\"format\": \"accel-nasbench-v1\"}";
-  EXPECT_FALSE(bin::has_magic({json.data(), json.size()}));
-  EXPECT_FALSE(bin::has_magic({json.data(), 0}));
+  for (const std::vector<char>& bytes :
+       {std::vector<char>(json.begin(), json.end()), std::vector<char>{}}) {
+    try {
+      const bin::Reader r(io::Buffer::from_bytes(std::vector<char>(bytes)));
+      ADD_FAILURE() << "no throw for " << bytes.size() << " bytes";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
