@@ -51,11 +51,9 @@ int main() {
               sim->training_cost_hours(my_arch, result.p_star),
               sim->training_cost_hours(my_arch, reference_scheme()));
 
-  // 5. Persist and reopen. The .anbb extension selects the zero-copy
-  //    binary container: open() mmaps the node arrays in place, so the
-  //    reload below costs milliseconds instead of a full JSON re-parse
-  //    (bench/load_latency measures ~40x at paper scale). open() sniffs
-  //    the magic, so the same call also reads JSON artifacts.
+  // 5. Persist and reopen. `.anbb` is the one artifact format: open()
+  //    mmaps the node arrays in place, so the reload below costs
+  //    milliseconds (bench/load_latency compares it with a heap read).
   result.bench.save_binary("quickstart.anbb");
   const AccelNASBench reopened = AccelNASBench::open("quickstart.anbb");
   std::printf("\nreloaded quickstart.anbb: top-1(my_arch) = %.4f (identical "

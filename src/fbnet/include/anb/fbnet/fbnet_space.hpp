@@ -95,7 +95,7 @@ class FbnetSpace final : public SearchSpace {
 };
 
 /// Lower to the same ModelIR the device models consume. Skip ops contribute
-/// no layers. `ModelIR::arch` is left default (this is not a MnasNet arch).
+/// no layers.
 ModelIR build_fbnet_ir(const FbnetArchitecture& arch, int resolution = 224);
 
 /// Register every in-tree space (currently FbnetSpace; MnasSpace is always

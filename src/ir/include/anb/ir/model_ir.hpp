@@ -46,12 +46,11 @@ struct Layer {
   std::uint64_t weight_elems = 0;  ///< parameter reads
 };
 
-/// A fully expanded model: the architecture lowered onto the fixed MnasNet
-/// macro-skeleton (stem=32ch s2; stage widths 16/24/40/80/112/192/320 with
-/// strides 1/2/2/2/1/2/1; head 1280ch; 1000 classes) at a given input
-/// resolution.
+/// A fully expanded model: an architecture lowered onto its space's fixed
+/// macro-skeleton at a given input resolution. build_ir uses the MnasNet
+/// one (stem=32ch s2; stage widths 16/24/40/80/112/192/320 with strides
+/// 1/2/2/2/1/2/1; head 1280ch; 1000 classes).
 struct ModelIR {
-  Architecture arch;
   int resolution = 224;
   std::vector<Layer> layers;
 

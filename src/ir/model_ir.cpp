@@ -69,7 +69,6 @@ ModelIR build_ir(const Architecture& arch, int resolution) {
             "build_ir: resolution must be in [32, 1024]");
 
   ModelIR ir;
-  ir.arch = arch;
   ir.resolution = resolution;
 
   IrBuilder b(resolution);

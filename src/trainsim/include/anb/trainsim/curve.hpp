@@ -7,8 +7,8 @@ namespace anb {
 /// Architecture-level traits that determine how a model responds to a
 /// training scheme. This decouples the *scheme response* (learning curves,
 /// resolution/batch effects, cost model — shared by every search space)
-/// from the *latent quality model* (space-specific): the MnasNet simulator
-/// and the FBNet generalizability simulator both lower to these traits.
+/// from the *latent quality model* (space-specific): every space's
+/// simulator (anb::SpaceSim) lowers to these traits.
 struct ArchTraits {
   /// Top-1 accuracy the model reaches under the reference scheme.
   double reference_accuracy = 0.7;
@@ -28,7 +28,7 @@ struct ArchTraits {
 
 /// Expected accuracy of a model with `traits` trained under `scheme`:
 /// reference accuracy minus resolution / under-training / batch /
-/// progressive-resizing deficits (see TrainingSimulator docs).
+/// progressive-resizing deficits.
 double scheme_expected_accuracy(const ArchTraits& traits,
                                 const TrainingScheme& scheme);
 

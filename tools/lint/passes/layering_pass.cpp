@@ -27,11 +27,11 @@ const std::map<std::string, std::set<std::string>, std::less<>>& allowed() {
           {"searchspace", {"util", "obs"}},
           {"ir", {"searchspace", "util", "obs"}},
           {"hwsim", {"ir", "searchspace", "util", "obs"}},
-          {"trainsim", {"ir", "searchspace", "util", "obs"}},
+          {"trainsim", {"util", "obs"}},
           {"surrogate", {"util", "obs"}},
           {"hpo", {"surrogate", "util", "obs"}},
           {"nas", {"searchspace", "util", "obs"}},
-          {"fbnet", {"trainsim", "ir", "searchspace", "util", "obs"}},
+          {"fbnet", {"ir", "searchspace", "util", "obs"}},
           // Space-registry edges: fbnet (the FBNet space implementation)
           // is reachable only from the pipeline layers that resolve spaces
           // (anb, serve) — never from util/obs/searchspace, which must stay
