@@ -24,9 +24,10 @@ int main(int argc, char** argv) {
   std::printf("\nEnergy per image (mJ) of the baseline zoo:\n");
   TextTable zoo_table({"model", "tpuv2", "tpuv3", "a100", "rtx3090", "zcu102",
                        "vck190"});
+  const auto sim = make_space_sim(SpaceId::kMnasNet, bench::kWorldSeed);
   for (const auto& model : reference_zoo()) {
     std::vector<std::string> row{model.name};
-    const ModelIR ir = build_ir(model.arch, 224);
+    const ModelIR ir = sim->lower(model.arch, 224);
     for (const auto& device : device_catalog())
       row.push_back(TextTable::num(device.energy_mj_per_image(ir), 1));
     zoo_table.add_row(std::move(row));

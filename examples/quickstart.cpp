@@ -27,13 +27,12 @@ int main() {
               result.data.total_gpu_hours);
 
   // 2. Describe an architecture: 7 blocks x {expansion, kernel, layers, SE},
-  //    then lift it to the space-tagged genotype every query takes.
-  const Architecture my_blocks = Architecture::from_string(
+  //    parsed into the space-tagged genotype every query takes.
+  const Arch my_arch = MnasSpace::instance().arch_from_string(
       "e1k3L1s0-e6k3L2s0-e6k5L2s1-e6k3L3s1-e6k5L3s1-e6k5L3s1-e6k3L1s1");
-  const Arch my_arch = MnasSpace::from_blocks(my_blocks);
 
   // 3. Zero-cost queries.
-  const Arch b0 = MnasSpace::from_blocks(effnet_b0_like().arch);
+  const Arch b0 = effnet_b0_like().arch;
   for (const auto& [name, arch] :
        {std::pair<const char*, Arch>{"my_arch", my_arch}, {"effnet-b0", b0}}) {
     std::printf("%-10s top-1(pred) = %.4f", name,

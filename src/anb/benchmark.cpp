@@ -52,7 +52,7 @@ obs::Counter& cache_misses() {
 }
 }  // namespace
 
-/// Architecture-keyed query cache. Values are keyed by
+/// Genotype-keyed query cache. Values are keyed by
 /// SearchSpace::to_index(arch) — an exact bijection between architectures
 /// and integers, so two distinct architectures can never alias. The maps
 /// are mutex-guarded; hit/miss counts go to the process-wide registry

@@ -190,12 +190,12 @@ std::vector<TrueEvalRow> true_evaluation(const ParetoOutcome& outcome,
   // is no published baseline set to compare against.
   if (sim.space().id() == SpaceId::kMnasNet) {
     for (const auto& baseline : reference_zoo()) {
-      const Arch arch = MnasSpace::from_blocks(baseline.arch);
+      const Arch& arch = baseline.arch;
       TrueEvalRow row;
       row.name = baseline.name;
       row.accuracy = accuracy_of(arch);
       row.perf = measure(sim.lower(arch, 224),
-                         hash_combine(seed, baseline.arch.hash()));
+                         hash_combine(seed, sim.seed_hash(arch)));
       row.is_ours = false;
       rows.push_back(std::move(row));
     }

@@ -89,8 +89,8 @@ inline constexpr const char* kBenchmarkLoadFaultSite =
 /// Genotypes are space-tagged Arch values; every query validates the tag
 /// against space() and the cache keys on (space, to_index) — the stable
 /// architecture address shared with the .anbb artifact and the serve
-/// protocol. Typed MnasNet Architecture values go through
-/// MnasSpace::from_blocks first.
+/// protocol. A genotype in its space's native string form goes through
+/// space().arch_from_string first.
 class AccelNASBench {
  public:
   AccelNASBench();

@@ -45,14 +45,14 @@ struct TrainResult {
 ///
 /// Only the latent model differs between spaces (SpaceSim::Model, one per
 /// space in space_sim.cpp). Every stochastic component derives from
-/// (world seed, the space's typed architecture hash, scheme, run seed), so
-/// any run is reproducible and independent of call order. Thread-safe;
+/// (world seed, seed_hash(arch), scheme, run seed), so any run is
+/// reproducible and independent of call order. Thread-safe;
 /// every method throws anb::Error for a genotype that is not a member of
 /// space() (foreign space tag or out-of-range decision).
 class SpaceSim {
  public:
   /// A space's latent model: its constants, structural quality term,
-  /// depth/width norms, int8 drop, lowering and typed hash.
+  /// depth/width norms, int8 drop, lowering and seed hash.
   struct Model;
 
   /// Use make_space_sim; `model` must outlive the simulator.
@@ -82,9 +82,16 @@ class SpaceSim {
   /// fraction of a percent.
   double int8_accuracy_drop(const Arch& arch) const;
 
-  /// Lower to the device-facing layer IR at the given input resolution —
-  /// what the hwsim roofline model measures.
+  /// Lower to the device-facing layer IR at the given input resolution
+  /// (in [32, 1024]) — what the hwsim roofline model measures. The one
+  /// lowering entry point: each space's macro-skeleton lives in its Model.
   ModelIR lower(const Arch& arch, int resolution) const;
+
+  /// The space's 64-bit FNV-1a hash of the genotype's option values, from
+  /// which every noise stream of this simulator seeds (MnasNet: e, k, L and
+  /// se as 2/1 per block; FBNet: op + 1 per layer). Distinct from
+  /// Arch::hash(), which hashes the raw decision bytes.
+  std::uint64_t seed_hash(const Arch& arch) const;
 
   /// Deterministic latent quality score (unbounded, higher is better).
   double latent_quality(const Arch& arch) const;
@@ -103,8 +110,8 @@ class SpaceSim {
     double weight = 0.0;
   };
 
-  /// Unchecked latent_quality; `typed_hash` is the space's hash of `arch`.
-  double quality(const Arch& arch, std::uint64_t typed_hash) const;
+  /// Unchecked latent_quality; `seed_hash` is seed_hash(arch).
+  double quality(const Arch& arch, std::uint64_t seed_hash) const;
 
   const Model* model_;
   std::uint64_t world_seed_;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "anb/fbnet/fbnet_space.hpp"
+#include "anb/ir/builder.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/rng.hpp"
 
@@ -32,9 +33,10 @@ struct SpaceSim::Model {
   /// Sets traits.depth_norm and traits.expand_norm.
   void (*shape_norms)(const Arch& arch, ArchTraits& traits);
   double (*int8_accuracy_drop)(const Arch& arch, std::uint64_t world_seed);
+  /// Lowering onto the space's fixed macro-skeleton.
   ModelIR (*lower)(const Arch& arch, int resolution);
-  /// The space's typed genotype hash; every noise stream seeds from it.
-  std::uint64_t (*typed_hash)(const Arch& arch);
+  /// The space's seed hash; every noise stream seeds from it.
+  std::uint64_t (*seed_hash)(const Arch& arch);
 };
 
 namespace {
@@ -44,10 +46,44 @@ constexpr double kLatentWiggleSigma = 0.07;  // idiosyncratic, in q units
 
 /// Noise streams: 1 latent wiggle, 2 resolution and 3 epoch response
 /// wiggles, 4 int8 drop wiggle.
-double noise_unit(std::uint64_t world_seed, std::uint64_t typed_hash,
+double noise_unit(std::uint64_t world_seed, std::uint64_t seed_hash,
                   std::uint64_t stream) {
-  Rng rng(hash_combine(hash_combine(world_seed, typed_hash), stream));
+  Rng rng(hash_combine(hash_combine(world_seed, seed_hash), stream));
   return rng.normal();
+}
+
+/// 64-bit FNV-1a over whole values: the seed hashes of both spaces.
+class Fnv1a {
+ public:
+  void mix(std::uint64_t v) {
+    h_ ^= v;
+    h_ *= 0x100000001B3ULL;
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+/// A lowering's builder, at the stem: `resolution` must be in [32, 1024].
+IrBuilder start_ir(int resolution, int stem_channels) {
+  ANB_CHECK(resolution >= 32 && resolution <= 1024,
+            "SpaceSim::lower: resolution must be in [32, 1024]");
+  IrBuilder b(resolution);
+  b.conv("stem.conv", stem_channels, 3, 2);
+  return b;
+}
+
+/// Appends the head both skeletons share (1x1 conv, global pool, a
+/// 1000-class classifier) and returns the finished model.
+ModelIR finish_ir(IrBuilder& b, int resolution, int head_channels) {
+  b.conv("head.conv", head_channels, 1, 1);
+  b.global_avg_pool("head.pool");
+  b.fully_connected("head.fc", 1000);
+  ModelIR ir;
+  ir.resolution = resolution;
+  ir.layers = b.take();
+  return ir;
 }
 
 double size_factor(double macs, double log_macs_min, double log_macs_max) {
@@ -72,6 +108,43 @@ constexpr std::array<double, kNumBlocks> kKernel5Gain{-0.02, 0.02, 0.10, 0.10,
 constexpr double kMnasLogMacsMin = 17.76;
 constexpr double kMnasLogMacsMax = 20.59;
 
+// Fixed macro-skeleton (not searchable, as in the paper): stem 32ch s2,
+// one stage per block, head 1280ch.
+constexpr int kMnasStemChannels = 32;
+constexpr int kMnasHeadChannels = 1280;
+constexpr std::array<int, kNumBlocks> kMnasStageChannels{16,  24,  40, 80,
+                                                         112, 192, 320};
+constexpr std::array<int, kNumBlocks> kMnasStageStrides{1, 2, 2, 2, 1, 2, 1};
+
+ModelIR mnas_lower(const Arch& arch, int resolution) {
+  const auto blocks = MnasSpace::blocks(arch);
+  IrBuilder b = start_ir(resolution, kMnasStemChannels);
+  for (int s = 0; s < kNumBlocks; ++s) {
+    const auto& blk = blocks[static_cast<std::size_t>(s)];
+    for (int layer = 0; layer < blk.layers; ++layer) {
+      const std::string prefix =
+          "b" + std::to_string(s + 1) + ".l" + std::to_string(layer + 1);
+      const int stride =
+          layer == 0 ? kMnasStageStrides[static_cast<std::size_t>(s)] : 1;
+      b.mbconv(prefix, kMnasStageChannels[static_cast<std::size_t>(s)],
+               blk.expansion, blk.kernel, stride, blk.se);
+    }
+  }
+  return finish_ir(b, resolution, kMnasHeadChannels);
+}
+
+/// FNV-1a over each block's option values: e, k, L, then se as 2/1.
+std::uint64_t mnas_seed_hash(const Arch& arch) {
+  Fnv1a h;
+  for (const BlockConfig& blk : MnasSpace::blocks(arch)) {
+    h.mix(static_cast<std::uint64_t>(blk.expansion));
+    h.mix(static_cast<std::uint64_t>(blk.kernel));
+    h.mix(static_cast<std::uint64_t>(blk.layers));
+    h.mix(blk.se ? 2u : 1u);
+  }
+  return h.value();
+}
+
 double expansion_gain(int e) {
   switch (e) {
     case 1: return 0.0;
@@ -91,10 +164,10 @@ double depth_gain(int layers) {
 }
 
 double mnas_structure(const Arch& arch) {
-  const Architecture blocks = MnasSpace::to_blocks(arch);
+  const auto blocks = MnasSpace::blocks(arch);
   double q = 0.0;
   for (int s = 0; s < kNumBlocks; ++s) {
-    const auto& blk = blocks.blocks[static_cast<std::size_t>(s)];
+    const auto& blk = blocks[static_cast<std::size_t>(s)];
     const double fe = expansion_gain(blk.expansion);
     const double fl = depth_gain(blk.layers);
     double contrib = fe + fl;
@@ -111,12 +184,12 @@ double mnas_structure(const Arch& arch) {
 
   // Global shape terms: very shallow networks underfit ImageNet...
   int total_depth = 0;
-  for (const auto& blk : blocks.blocks) total_depth += blk.layers;
+  for (const auto& blk : blocks) total_depth += blk.layers;
   if (total_depth < 9) q -= 0.05 * (9 - total_depth);
   // ...and some mid-network 5x5 coverage is needed for receptive field.
   int mid_k5 = 0;
   for (int s = 2; s <= 5; ++s)
-    if (blocks.blocks[static_cast<std::size_t>(s)].kernel == 5) ++mid_k5;
+    if (blocks[static_cast<std::size_t>(s)].kernel == 5) ++mid_k5;
   if (mid_k5 >= 2) q += 0.08;
   return q;
 }
@@ -124,7 +197,7 @@ double mnas_structure(const Arch& arch) {
 void mnas_shape_norms(const Arch& arch, ArchTraits& traits) {
   int total_depth = 0;
   double mean_expansion = 0.0;
-  for (const auto& blk : MnasSpace::to_blocks(arch).blocks) {
+  for (const auto& blk : MnasSpace::blocks(arch)) {
     total_depth += blk.layers;
     mean_expansion += blk.expansion;
   }
@@ -137,17 +210,17 @@ void mnas_shape_norms(const Arch& arch, ArchTraits& traits) {
 /// Small models and SE-heavy models (sigmoid gates with wide activation
 /// ranges) lose more.
 double mnas_int8_drop(const Arch& arch, std::uint64_t world_seed) {
-  const Architecture blocks = MnasSpace::to_blocks(arch);
   const double size = size_factor(
-      static_cast<double>(build_ir(blocks, 224).total_macs()), kMnasLogMacsMin,
+      static_cast<double>(mnas_lower(arch, 224).total_macs()), kMnasLogMacsMin,
       kMnasLogMacsMax);
   double se_fraction = 0.0;
-  for (const auto& blk : blocks.blocks) se_fraction += blk.se ? 1.0 : 0.0;
+  for (const auto& blk : MnasSpace::blocks(arch))
+    se_fraction += blk.se ? 1.0 : 0.0;
   se_fraction /= kNumBlocks;
   // Base ~0.2%, up to ~0.9% for small SE-heavy models; small seeded wiggle.
   const double drop =
       0.002 + 0.003 * se_fraction + 0.003 * (1.0 - size) +
-      0.0005 * std::abs(noise_unit(world_seed, blocks.hash(), 4));
+      0.0005 * std::abs(noise_unit(world_seed, mnas_seed_hash(arch), 4));
   return std::clamp(drop, 0.0, 0.02);
 }
 
@@ -164,17 +237,39 @@ const SpaceSim::Model& mnas_model() {
       .structure = mnas_structure,
       .shape_norms = mnas_shape_norms,
       .int8_accuracy_drop = mnas_int8_drop,
-      .lower = [](const Arch& arch, int resolution) {
-        return build_ir(MnasSpace::to_blocks(arch), resolution);
-      },
-      .typed_hash = [](const Arch& arch) {
-        return MnasSpace::to_blocks(arch).hash();
-      },
+      .lower = mnas_lower,
+      .seed_hash = mnas_seed_hash,
   };
   return model;
 }
 
 // ---- FBNet latent model --------------------------------------------------
+
+FbnetOp fbnet_op(const Arch& arch, int layer) {
+  return static_cast<FbnetOp>(arch.d[static_cast<std::size_t>(layer)]);
+}
+
+/// Skip ops contribute no layers.
+ModelIR fbnet_lower(const Arch& arch, int resolution) {
+  IrBuilder b = start_ir(resolution, FbnetSpace::kStemChannels);
+  const auto& slots = FbnetSpace::slots();
+  for (int i = 0; i < kFbnetNumLayers; ++i) {
+    const FbnetOp op = fbnet_op(arch, i);
+    if (op == FbnetOp::kSkip) continue;  // identity
+    const auto& slot = slots[static_cast<std::size_t>(i)];
+    b.mbconv("l" + std::to_string(i + 1), slot.out_c, fbnet_op_expansion(op),
+             fbnet_op_kernel(op), slot.stride, /*se=*/false);
+  }
+  return finish_ir(b, resolution, FbnetSpace::kHeadChannels);
+}
+
+/// FNV-1a over op + 1 per layer.
+std::uint64_t fbnet_seed_hash(const Arch& arch) {
+  Fnv1a h;
+  for (int i = 0; i < kFbnetNumLayers; ++i)
+    h.mix(static_cast<std::uint64_t>(fbnet_op(arch, i)) + 1);
+  return h.value();
+}
 
 // Position importance: the 22 slots grouped by stage, later stages heavier
 // (same shape rationale as the MnasNet stage weights).
@@ -209,11 +304,10 @@ double op_gain(FbnetOp op, int layer) {
 }
 
 double fbnet_structure(const Arch& arch) {
-  const FbnetArchitecture fb = FbnetSpace::to_ops(arch);
   double q = 0.0;
   int non_skip = 0;
   for (int i = 0; i < kFbnetNumLayers; ++i) {
-    const FbnetOp op = fb.ops[static_cast<std::size_t>(i)];
+    const FbnetOp op = fbnet_op(arch, i);
     q += layer_weight(i) * op_gain(op, i);
     non_skip += op != FbnetOp::kSkip;
   }
@@ -225,7 +319,8 @@ double fbnet_structure(const Arch& arch) {
 void fbnet_shape_norms(const Arch& arch, ArchTraits& traits) {
   int non_skip = 0;
   double mean_expansion = 0.0;
-  for (const FbnetOp op : FbnetSpace::to_ops(arch).ops) {
+  for (int i = 0; i < kFbnetNumLayers; ++i) {
+    const FbnetOp op = fbnet_op(arch, i);
     if (op == FbnetOp::kSkip) continue;
     ++non_skip;
     mean_expansion += fbnet_op_expansion(op);
@@ -241,7 +336,8 @@ void fbnet_shape_norms(const Arch& arch, ArchTraits& traits) {
 double fbnet_int8_drop(const Arch& arch, std::uint64_t /*world_seed*/) {
   int wide = 0;
   int skips = 0;
-  for (const FbnetOp op : FbnetSpace::to_ops(arch).ops) {
+  for (int i = 0; i < kFbnetNumLayers; ++i) {
+    const FbnetOp op = fbnet_op(arch, i);
     if (op == FbnetOp::kE6K3 || op == FbnetOp::kE6K5) ++wide;
     if (op == FbnetOp::kSkip) ++skips;
   }
@@ -262,12 +358,8 @@ const SpaceSim::Model& fbnet_model() {
       .structure = fbnet_structure,
       .shape_norms = fbnet_shape_norms,
       .int8_accuracy_drop = fbnet_int8_drop,
-      .lower = [](const Arch& arch, int resolution) {
-        return build_fbnet_ir(FbnetSpace::to_ops(arch), resolution);
-      },
-      .typed_hash = [](const Arch& arch) {
-        return FbnetSpace::to_ops(arch).hash();
-      },
+      .lower = fbnet_lower,
+      .seed_hash = fbnet_seed_hash,
   };
   return model;
 }
@@ -299,7 +391,7 @@ SpaceSim::SpaceSim(const Model& model, std::uint64_t world_seed)
 
 const SearchSpace& SpaceSim::space() const { return model_->space; }
 
-double SpaceSim::quality(const Arch& arch, std::uint64_t typed_hash) const {
+double SpaceSim::quality(const Arch& arch, std::uint64_t seed_hash) const {
   double q = model_->structure(arch);
   // Motif effects: sparse conjunctions of specific option choices. These
   // carry real (learnable) signal with discrete interaction structure.
@@ -314,30 +406,33 @@ double SpaceSim::quality(const Arch& arch, std::uint64_t typed_hash) const {
   }
   // Idiosyncratic component: the part of model quality no simple analytic
   // form captures; this is what bounds surrogate fidelity below 1.0.
-  q += kLatentWiggleSigma * noise_unit(world_seed_, typed_hash, 1);
+  q += kLatentWiggleSigma * noise_unit(world_seed_, seed_hash, 1);
   return q;
 }
 
 double SpaceSim::latent_quality(const Arch& arch) const {
+  return quality(arch, seed_hash(arch));
+}
+
+std::uint64_t SpaceSim::seed_hash(const Arch& arch) const {
   space().validate(arch);
-  return quality(arch, model_->typed_hash(arch));
+  return model_->seed_hash(arch);
 }
 
 ArchTraits SpaceSim::traits(const Arch& arch) const {
-  space().validate(arch);
-  const std::uint64_t typed_hash = model_->typed_hash(arch);
+  const std::uint64_t hash = seed_hash(arch);
   ArchTraits traits;
   traits.reference_accuracy =
       model_->acc_floor +
       model_->acc_range *
-          (1.0 - std::exp(-quality(arch, typed_hash) / kQualityScale));
+          (1.0 - std::exp(-quality(arch, hash) / kQualityScale));
   traits.macs_224 =
       static_cast<double>(model_->lower(arch, 224).total_macs());
   traits.size_factor = size_factor(traits.macs_224, model_->log_macs_min,
                                    model_->log_macs_max);
   model_->shape_norms(arch, traits);
-  traits.res_wiggle = noise_unit(world_seed_, typed_hash, 2);
-  traits.epoch_wiggle = noise_unit(world_seed_, typed_hash, 3);
+  traits.res_wiggle = noise_unit(world_seed_, hash, 2);
+  traits.epoch_wiggle = noise_unit(world_seed_, hash, 3);
   return traits;
 }
 
@@ -361,10 +456,10 @@ TrainResult SpaceSim::train(const Arch& arch, const TrainingScheme& scheme,
   TrainResult result;
   const double mean_acc = scheme_expected_accuracy(arch_traits, scheme);
   const double sigma = scheme_seed_noise_sigma(scheme);
-  Rng rng(hash_combine(hash_combine(hash_combine(world_seed_,
-                                                 model_->typed_hash(arch)),
-                                    scheme.hash()),
-                       run_seed));
+  Rng rng(hash_combine(
+      hash_combine(hash_combine(world_seed_, model_->seed_hash(arch)),
+                   scheme.hash()),
+      run_seed));
   result.top1 = std::clamp(mean_acc + sigma * rng.normal(), 0.001, 0.999);
   result.gpu_hours = scheme_training_cost_hours(arch_traits, scheme);
   return result;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "anb/ir/model_ir.hpp"
 #include "anb/searchspace/space.hpp"
 #include "anb/util/rng.hpp"
 
@@ -13,6 +12,7 @@ namespace anb {
 
 /// Candidate operator of one FBNet-style searchable layer: a mobile
 /// inverted bottleneck with the given expansion/kernel, or identity skip.
+/// Decision i of an FBNet genotype is the FbnetOp value of layer i.
 enum class FbnetOp {
   kE1K3,  ///< MBConv e=1 k=3
   kE1K5,
@@ -29,16 +29,6 @@ inline constexpr int kFbnetNumLayers = 22;
 const char* fbnet_op_name(FbnetOp op);
 int fbnet_op_expansion(FbnetOp op);  ///< throws for kSkip
 int fbnet_op_kernel(FbnetOp op);     ///< throws for kSkip
-
-/// A point in the FBNet-style space: one op per searchable layer.
-struct FbnetArchitecture {
-  std::array<FbnetOp, kFbnetNumLayers> ops{};
-
-  bool operator==(const FbnetArchitecture&) const = default;
-  std::string to_string() const;  ///< dash-separated op names
-  static FbnetArchitecture from_string(const std::string& s);
-  std::uint64_t hash() const;
-};
 
 /// The layer-wise generalizability search space (paper §3.1: "for
 /// experiments with additional search spaces ... see our GitHub"; FBNet [17]
@@ -72,16 +62,6 @@ class FbnetSpace final : public SearchSpace {
   static int num_ops(int layer);
   static double log10_cardinality();
 
-  /// Typed conversions between the opaque genotype (decision i = op index
-  /// of layer i) and the op view the simulator/IR consume. from_ops throws
-  /// on illegal skips; to_ops throws on a non-FBNet genotype.
-  static Arch from_ops(const FbnetArchitecture& arch);
-  static FbnetArchitecture to_ops(const Arch& arch);
-
-  /// Throws anb::Error on an out-of-range op or a skip at a shape-changing
-  /// layer: the check every consumer of the typed op view runs.
-  static void validate_ops(const FbnetArchitecture& arch);
-
   SpaceId id() const override { return SpaceId::kFbnet; }
   int num_decisions() const override { return kFbnetNumLayers; }
   const std::vector<int>& decision_sizes() const override;
@@ -90,13 +70,10 @@ class FbnetSpace final : public SearchSpace {
   /// One-hot encoding, kFbnetNumLayers x kFbnetNumOps = 154 dims (illegal
   /// skip positions simply never activate their last column).
   std::vector<double> features(const Arch& arch) const override;
+  /// Dash-separated op names, one per layer (fbnet_op_name).
   std::string arch_to_string(const Arch& arch) const override;
   Arch arch_from_string(const std::string& s) const override;
 };
-
-/// Lower to the same ModelIR the device models consume. Skip ops contribute
-/// no layers.
-ModelIR build_fbnet_ir(const FbnetArchitecture& arch, int resolution = 224);
 
 /// Register every in-tree space (currently FbnetSpace; MnasSpace is always
 /// resolvable) with the searchspace registry. Idempotent and thread-safe;

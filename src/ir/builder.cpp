@@ -1,11 +1,16 @@
 #include "anb/ir/builder.hpp"
 
+#include <algorithm>
+
 #include "anb/util/error.hpp"
 
 namespace anb {
 
 namespace {
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
+
+/// SE bottleneck width: the EfficientNet convention.
+int se_channels(int block_in_c) { return std::max(1, block_in_c / 4); }
 }  // namespace
 
 IrBuilder::IrBuilder(int resolution) : h_(resolution), w_(resolution), c_(3) {
@@ -161,7 +166,7 @@ void IrBuilder::mbconv(const std::string& prefix, int out_c, int expansion,
   if (se) {
     const int dw_h = h_;
     const int dw_w = w_;
-    const int se_c = MacroSkeleton::se_channels(block_in_c);
+    const int se_c = se_channels(block_in_c);
     global_avg_pool(prefix + ".se.pool");
     fully_connected(prefix + ".se.squeeze", se_c);
     fully_connected(prefix + ".se.excite", expanded_c);

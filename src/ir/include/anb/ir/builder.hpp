@@ -8,9 +8,9 @@
 namespace anb {
 
 /// Incremental layer-graph builder: tracks the current tensor shape and
-/// appends fully-costed layers. Used by the MnasNet lowering (build_ir) and
-/// by additional search spaces (e.g. the FBNet-style generalizability space)
-/// so every space produces the same ModelIR the device models consume.
+/// appends fully-costed layers. Every search space lowers through it
+/// (SpaceSim::lower), so every space produces the same ModelIR the device
+/// models consume.
 class IrBuilder {
  public:
   explicit IrBuilder(int resolution);
@@ -34,7 +34,7 @@ class IrBuilder {
   void add(const std::string& name);
 
   /// One full mobile inverted bottleneck layer (expand -> dwconv -> [SE] ->
-  /// project -> [residual]); shared by MnasNet and FBNet lowerings.
+  /// project -> [residual]); the SE bottleneck is max(1, in_c / 4) wide.
   void mbconv(const std::string& prefix, int out_c, int expansion, int kernel,
               int stride, bool se);
 

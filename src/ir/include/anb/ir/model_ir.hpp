@@ -1,15 +1,12 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "anb/searchspace/architecture.hpp"
-
 namespace anb {
 
-/// Primitive operator kinds produced by expanding an MnasNet-space model.
+/// Primitive operator kinds produced by lowering a search-space model.
 ///
 /// Squeeze-and-excitation is decomposed into GlobalAvgPool + two
 /// FullyConnected layers + a channel-wise Scale so device models can price
@@ -47,9 +44,7 @@ struct Layer {
 };
 
 /// A fully expanded model: an architecture lowered onto its space's fixed
-/// macro-skeleton at a given input resolution. build_ir uses the MnasNet
-/// one (stem=32ch s2; stage widths 16/24/40/80/112/192/320 with strides
-/// 1/2/2/2/1/2/1; head 1280ch; 1000 classes).
+/// macro-skeleton at a given input resolution (SpaceSim::lower in anb/anb).
 struct ModelIR {
   int resolution = 224;
   std::vector<Layer> layers;
@@ -63,21 +58,5 @@ struct ModelIR {
   /// Parameter count in millions.
   double mparams() const;
 };
-
-/// Fixed macro-skeleton constants (not searchable, as in the paper).
-struct MacroSkeleton {
-  static constexpr int kStemChannels = 32;
-  static constexpr int kHeadChannels = 1280;
-  static constexpr int kNumClasses = 1000;
-  static const std::array<int, kNumBlocks>& stage_channels();
-  static const std::array<int, kNumBlocks>& stage_strides();
-  /// SE bottleneck width = max(1, block_input_channels / 4), the
-  /// EfficientNet convention.
-  static int se_channels(int block_in_c);
-};
-
-/// Expand `arch` at `resolution` (must be in [32, 1024]).
-/// Throws anb::Error on invalid architectures.
-ModelIR build_ir(const Architecture& arch, int resolution = 224);
 
 }  // namespace anb

@@ -1,12 +1,5 @@
 #include "anb/ir/model_ir.hpp"
 
-#include "anb/ir/builder.hpp"
-
-#include <array>
-
-#include "anb/searchspace/space.hpp"
-#include "anb/util/error.hpp"
-
 namespace anb {
 
 const char* op_kind_name(OpKind kind) {
@@ -19,22 +12,6 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kAdd: return "add";
   }
   return "unknown";
-}
-
-const std::array<int, kNumBlocks>& MacroSkeleton::stage_channels() {
-  static const std::array<int, kNumBlocks> channels{16, 24,  40, 80,
-                                                    112, 192, 320};
-  return channels;
-}
-
-const std::array<int, kNumBlocks>& MacroSkeleton::stage_strides() {
-  static const std::array<int, kNumBlocks> strides{1, 2, 2, 2, 1, 2, 1};
-  return strides;
-}
-
-int MacroSkeleton::se_channels(int block_in_c) {
-  ANB_CHECK(block_in_c >= 1, "se_channels: block_in_c must be >= 1");
-  return std::max(1, block_in_c / 4);
 }
 
 std::uint64_t ModelIR::total_macs() const {
@@ -61,39 +38,6 @@ double ModelIR::gflops() const {
 
 double ModelIR::mparams() const {
   return static_cast<double>(total_params()) / 1e6;
-}
-
-ModelIR build_ir(const Architecture& arch, int resolution) {
-  MnasSpace::from_blocks(arch);  // throws on out-of-space option values
-  ANB_CHECK(resolution >= 32 && resolution <= 1024,
-            "build_ir: resolution must be in [32, 1024]");
-
-  ModelIR ir;
-  ir.resolution = resolution;
-
-  IrBuilder b(resolution);
-  b.conv("stem.conv", MacroSkeleton::kStemChannels, 3, 2);
-
-  for (int s = 0; s < kNumBlocks; ++s) {
-    const auto& blk = arch.blocks[static_cast<std::size_t>(s)];
-    const int out_c =
-        MacroSkeleton::stage_channels()[static_cast<std::size_t>(s)];
-    const int stage_stride =
-        MacroSkeleton::stage_strides()[static_cast<std::size_t>(s)];
-    for (int layer = 0; layer < blk.layers; ++layer) {
-      const std::string prefix =
-          "b" + std::to_string(s + 1) + ".l" + std::to_string(layer + 1);
-      const int stride = layer == 0 ? stage_stride : 1;
-      b.mbconv(prefix, out_c, blk.expansion, blk.kernel, stride, blk.se);
-    }
-  }
-
-  b.conv("head.conv", MacroSkeleton::kHeadChannels, 1, 1);
-  b.global_avg_pool("head.pool");
-  b.fully_connected("head.fc", MacroSkeleton::kNumClasses);
-
-  ir.layers = b.take();
-  return ir;
 }
 
 }  // namespace anb

@@ -1,15 +1,33 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "anb/searchspace/architecture.hpp"
 #include "anb/searchspace/genotype.hpp"
 #include "anb/util/rng.hpp"
 
 namespace anb {
+
+/// Number of sequentially connected searchable blocks/stages in the MnasNet
+/// search space (paper §3.1).
+inline constexpr int kNumBlocks = 7;
+
+/// The decoded options of one MnasNet block (MnasSpace::blocks): the block
+/// hosts `layers` mobile inverted bottleneck (MBConv) layers with a shared
+/// expansion factor, depthwise kernel size, and an optional
+/// squeeze-and-excitation (SE) module. Allowed values (paper §3.1):
+///   expansion ∈ {1, 4, 6}, kernel ∈ {3, 5}, layers ∈ {1, 2, 3}, se ∈ {0, 1}.
+struct BlockConfig {
+  int expansion = 1;
+  int kernel = 3;
+  int layers = 1;
+  bool se = false;
+
+  bool operator==(const BlockConfig&) const = default;
+};
 
 /// A searchable architecture space: the polymorphic interface every
 /// space-generic layer programs against (NAS optimizers, proxy search,
@@ -115,11 +133,9 @@ class MnasSpace final : public SearchSpace {
   /// Number of flat categorical decisions (7 blocks × 4 = 28).
   static constexpr int kNumDecisions = kNumBlocks * 4;
 
-  /// Typed conversions between the opaque genotype and the block view the
-  /// IR/training layers consume. from_blocks throws on option values
-  /// outside the space; to_blocks throws on a non-MnasNet genotype.
-  static Arch from_blocks(const Architecture& arch);
-  static Architecture to_blocks(const Arch& arch);
+  /// The option values of each block: the one decoder of the block-major
+  /// layout. Throws anb::Error on a genotype that is not in this space.
+  static std::array<BlockConfig, kNumBlocks> blocks(const Arch& arch);
 
   SpaceId id() const override { return SpaceId::kMnasNet; }
   int num_decisions() const override { return kNumDecisions; }
@@ -129,6 +145,10 @@ class MnasSpace final : public SearchSpace {
   int feature_dim() const override;  ///< 7 × (3+2+3+1) = 63 one-hot dims
   Arch sample(Rng& rng) const override;
   std::vector<double> features(const Arch& arch) const override;
+  /// Compact form, one `e<e>k<k>L<L>s<0|1>` group per block joined by '-'
+  /// (e.g. "e6k5L3s1-..."). arch_from_string throws anb::Error on a
+  /// malformed group, a block count other than 7, or an option value
+  /// outside the space.
   std::string arch_to_string(const Arch& arch) const override;
   Arch arch_from_string(const std::string& s) const override;
 };

@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "anb/searchspace/architecture.hpp"
+#include "anb/searchspace/genotype.hpp"
 
 namespace anb {
 
@@ -14,7 +14,7 @@ namespace anb {
 /// is how the paper is able to compare searched models directly against them.
 struct ReferenceModel {
   std::string name;
-  Architecture arch;
+  Arch arch;  ///< a MnasNet genotype
 };
 
 /// EfficientNet-B0-like: e=(1,6,…,6), mixed 3/5 kernels, SE everywhere.

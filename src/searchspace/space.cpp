@@ -1,7 +1,9 @@
 #include "anb/searchspace/space.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
+#include <sstream>
 
 #include "anb/util/error.hpp"
 #include "anb/util/mutex.hpp"
@@ -243,28 +245,11 @@ int MnasSpace::feature_dim() const {
   return kNumBlocks * (3 + 2 + 3 + 1);
 }
 
-Arch MnasSpace::from_blocks(const Architecture& blocks) {
-  Arch arch;
-  arch.space = SpaceId::kMnasNet;
-  arch.n = kNumDecisions;
-  std::size_t i = 0;
-  for (const auto& blk : blocks.blocks) {
-    arch.d[i++] = static_cast<std::int8_t>(
-        option_index(expansion_options(), blk.expansion, "expansion"));
-    arch.d[i++] = static_cast<std::int8_t>(
-        option_index(kernel_options(), blk.kernel, "kernel"));
-    arch.d[i++] = static_cast<std::int8_t>(
-        option_index(layer_options(), blk.layers, "layers"));
-    arch.d[i++] = blk.se ? 1 : 0;
-  }
-  return arch;
-}
-
-Architecture MnasSpace::to_blocks(const Arch& arch) {
+std::array<BlockConfig, kNumBlocks> MnasSpace::blocks(const Arch& arch) {
   instance().validate(arch);
-  Architecture out;
+  std::array<BlockConfig, kNumBlocks> out;
   std::size_t i = 0;
-  for (auto& blk : out.blocks) {
+  for (auto& blk : out) {
     blk.expansion =
         expansion_options()[static_cast<std::size_t>(arch.d[i++])];
     blk.kernel = kernel_options()[static_cast<std::size_t>(arch.d[i++])];
@@ -293,14 +278,18 @@ Arch MnasSpace::sample(Rng& rng) const {
 }
 
 std::vector<double> MnasSpace::features(const Arch& arch) const {
-  const Architecture blocks = to_blocks(arch);
+  validate(arch);
+  // Per block: one-hot expansion (3), kernel (2) and layers (3), then se as
+  // a single binary dim.
+  const auto& sizes = decision_sizes();
   std::vector<double> f;
   f.reserve(static_cast<std::size_t>(feature_dim()));
-  for (const auto& blk : blocks.blocks) {
-    for (int opt : expansion_options()) f.push_back(blk.expansion == opt);
-    for (int opt : kernel_options()) f.push_back(blk.kernel == opt);
-    for (int opt : layer_options()) f.push_back(blk.layers == opt);
-    f.push_back(blk.se ? 1.0 : 0.0);
+  for (std::size_t i = 0; i < kNumDecisions; ++i) {
+    if (i % 4 == 3) {
+      f.push_back(arch.d[i]);
+      continue;
+    }
+    for (int opt = 0; opt < sizes[i]; ++opt) f.push_back(arch.d[i] == opt);
   }
   ANB_ASSERT(f.size() == static_cast<std::size_t>(feature_dim()),
              "feature vector size mismatch");
@@ -308,11 +297,46 @@ std::vector<double> MnasSpace::features(const Arch& arch) const {
 }
 
 std::string MnasSpace::arch_to_string(const Arch& arch) const {
-  return to_blocks(arch).to_string();
+  std::string out;
+  for (const BlockConfig& blk : blocks(arch)) {
+    if (!out.empty()) out += '-';
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "e%dk%dL%ds%d", blk.expansion, blk.kernel,
+                  blk.layers, blk.se ? 1 : 0);
+    out += buf;
+  }
+  return out;
 }
 
 Arch MnasSpace::arch_from_string(const std::string& s) const {
-  return from_blocks(Architecture::from_string(s));
+  Arch arch = make_arch();
+  std::istringstream in(s);
+  std::string group;
+  int b = 0;
+  while (std::getline(in, group, '-')) {
+    ANB_CHECK(b < kNumBlocks, "MnasSpace::arch_from_string: too many blocks");
+    int e = 0, k = 0, L = 0, se = 0;
+    const int matched =
+        std::sscanf(group.c_str(), "e%dk%dL%ds%d", &e, &k, &L, &se);
+    ANB_CHECK(matched == 4,
+              "MnasSpace::arch_from_string: malformed block '" + group + "'");
+    ANB_CHECK(se == 0 || se == 1,
+              "MnasSpace::arch_from_string: se must be 0 or 1");
+    std::size_t i = static_cast<std::size_t>(4 * b);
+    arch.d[i++] = static_cast<std::int8_t>(
+        option_index(expansion_options(), e, "expansion"));
+    arch.d[i++] =
+        static_cast<std::int8_t>(option_index(kernel_options(), k, "kernel"));
+    arch.d[i++] =
+        static_cast<std::int8_t>(option_index(layer_options(), L, "layers"));
+    arch.d[i] = static_cast<std::int8_t>(se);
+    ++b;
+  }
+  ANB_CHECK(b == kNumBlocks,
+            "MnasSpace::arch_from_string: expected " +
+                std::to_string(kNumBlocks) + " blocks, got " +
+                std::to_string(b));
+  return arch;
 }
 
 // --- Registry --------------------------------------------------------------

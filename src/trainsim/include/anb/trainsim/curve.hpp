@@ -4,7 +4,7 @@
 
 namespace anb {
 
-/// Architecture-level traits that determine how a model responds to a
+/// Per-architecture traits that determine how a model responds to a
 /// training scheme. This decouples the *scheme response* (learning curves,
 /// resolution/batch effects, cost model — shared by every search space)
 /// from the *latent quality model* (space-specific): every space's

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "anb/util/error.hpp"
 #include "anb/util/metrics.hpp"
 #include "anb/util/stats.hpp"
+#include "arch_test_util.hpp"
 
 namespace anb {
 namespace {
@@ -58,6 +60,21 @@ TEST_P(SpaceSimTest, WorldSeedChangesLandscape) {
     }
     EXPECT_GT(diffs, 15) << "world " << world;
   }
+}
+
+TEST_P(SpaceSimTest, SeedHashDiscriminates) {
+  // Equal genotypes hash equal; distinct ones essentially never collide.
+  const SearchSpace& sp = sim_->space();
+  std::set<std::uint64_t> hashes;
+  std::set<std::uint64_t> indices;
+  for (int i = 0; i < 2000; ++i) {
+    const Arch a = sample();
+    EXPECT_EQ(sim_->seed_hash(a),
+              sim_->seed_hash(sp.from_index(sp.to_index(a))));
+    if (indices.insert(sp.to_index(a)).second)
+      hashes.insert(sim_->seed_hash(a));
+  }
+  EXPECT_EQ(hashes.size(), indices.size());
 }
 
 TEST_P(SpaceSimTest, MoreEpochsMeansHigherAccuracy) {
@@ -135,6 +152,7 @@ TEST_P(SpaceSimTest, InvalidInputsThrow) {
   EXPECT_THROW(sim_->training_cost_hours(bad, p), Error);
   EXPECT_THROW(sim_->int8_accuracy_drop(bad), Error);
   EXPECT_THROW(sim_->lower(bad, 224), Error);
+  EXPECT_THROW(sim_->seed_hash(bad), Error);
 
   TrainingScheme s = proxy_scheme(10, 224);
   s.resize_finish_epoch = 20;  // > total
@@ -148,12 +166,6 @@ INSTANTIATE_TEST_SUITE_P(BothSpaces, SpaceSimTest,
                          });
 
 // ---- MnasNet-specific checks ---------------------------------------------
-
-Arch uniform_blocks(const BlockConfig& block) {
-  Architecture arch;
-  for (auto& b : arch.blocks) b = block;
-  return MnasSpace::from_blocks(arch);
-}
 
 class MnasSimTest : public ::testing::Test {
  protected:
@@ -206,13 +218,13 @@ TEST_F(MnasSimTest, ReferenceAccuracyRealisticRange) {
     EXPECT_LT(acc, 0.85);
   }
   EXPECT_GT(
-      sim_->reference_accuracy(MnasSpace::from_blocks(effnet_b0_like().arch)),
+      sim_->reference_accuracy(effnet_b0_like().arch),
       0.74);
 }
 
 TEST_F(MnasSimTest, CapacityImprovesQuality) {
-  const Arch small = uniform_blocks({1, 3, 1, false});
-  const Arch big = uniform_blocks({6, 5, 3, true});
+  const Arch small = uniform_mnas(1, 3, 1, false);
+  const Arch big = uniform_mnas(6, 5, 3, true);
   EXPECT_GT(sim_->latent_quality(big), sim_->latent_quality(small) + 1.0);
   EXPECT_GT(sim_->reference_accuracy(big), sim_->reference_accuracy(small));
 }
@@ -230,14 +242,14 @@ TEST_F(MnasSimTest, ReferenceCostRealistic) {
   // Paper-scale: a mid-size model costs tens of GPU-hours under r and the
   // ~5.6-7x cheaper proxy lands near 3 GPU-hours.
   const double ref = sim_->training_cost_hours(
-      MnasSpace::from_blocks(effnet_b0_like().arch), reference_scheme());
+      effnet_b0_like().arch, reference_scheme());
   EXPECT_GT(ref, 8.0);
   EXPECT_LT(ref, 60.0);
 }
 
 TEST_F(MnasSimTest, BiggerModelsCostMore) {
-  const Arch small = uniform_blocks({1, 3, 1, false});
-  const Arch big = uniform_blocks({6, 5, 3, true});
+  const Arch small = uniform_mnas(1, 3, 1, false);
+  const Arch big = uniform_mnas(6, 5, 3, true);
   EXPECT_GT(sim_->training_cost_hours(big, reference_scheme()),
             2.0 * sim_->training_cost_hours(small, reference_scheme()));
 }
@@ -254,8 +266,10 @@ TEST_F(MnasSimTest, AggressiveProxyDegradesRankings) {
 }
 
 TEST_F(MnasSimTest, Int8DropSmallAndStructured) {
-  const double d_no_se = sim_->int8_accuracy_drop(uniform_blocks({6, 3, 3, false}));
-  const double d_all_se = sim_->int8_accuracy_drop(uniform_blocks({6, 3, 3, true}));
+  const double d_no_se =
+      sim_->int8_accuracy_drop(uniform_mnas(6, 3, 3, false));
+  const double d_all_se =
+      sim_->int8_accuracy_drop(uniform_mnas(6, 3, 3, true));
   EXPECT_GT(d_all_se, d_no_se);  // SE gates quantize poorly
   for (int i = 0; i < 30; ++i) {
     const double d = sim_->int8_accuracy_drop(sample());
@@ -265,29 +279,11 @@ TEST_F(MnasSimTest, Int8DropSmallAndStructured) {
 }
 
 TEST_F(MnasSimTest, Int8DropLargerForSmallModels) {
-  EXPECT_GT(sim_->int8_accuracy_drop(uniform_blocks({1, 3, 1, false})),
-            sim_->int8_accuracy_drop(uniform_blocks({6, 5, 3, false})));
+  EXPECT_GT(sim_->int8_accuracy_drop(uniform_mnas(1, 3, 1, false)),
+            sim_->int8_accuracy_drop(uniform_mnas(6, 5, 3, false)));
 }
 
 // ---- FBNet-specific checks -----------------------------------------------
-
-/// All-e6k5 (largest) and skip-where-legal-else-e1k3 (smallest) genotypes.
-Arch fbnet_big() {
-  FbnetArchitecture big;
-  for (auto& o : big.ops) o = FbnetOp::kE6K5;
-  return FbnetSpace::from_ops(big);
-}
-
-Arch fbnet_small() {
-  FbnetArchitecture small;
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    small.ops[static_cast<std::size_t>(i)] =
-        FbnetSpace::slots()[static_cast<std::size_t>(i)].skip_allowed
-            ? FbnetOp::kSkip
-            : FbnetOp::kE1K3;
-  }
-  return FbnetSpace::from_ops(small);
-}
 
 class FbnetSimTest : public ::testing::Test {
  protected:
@@ -306,15 +302,17 @@ TEST_F(FbnetSimTest, AccuracyRangeRealistic) {
 }
 
 TEST_F(FbnetSimTest, CapacityImprovesQuality) {
-  EXPECT_GT(sim_->latent_quality(fbnet_big()),
-            sim_->latent_quality(fbnet_small()) + 1.0);
-  EXPECT_GT(sim_->reference_accuracy(fbnet_big()),
-            sim_->reference_accuracy(fbnet_small()));
+  EXPECT_GT(sim_->latent_quality(uniform_fbnet(FbnetOp::kE6K5)),
+            sim_->latent_quality(smallest_fbnet()) + 1.0);
+  EXPECT_GT(sim_->reference_accuracy(uniform_fbnet(FbnetOp::kE6K5)),
+            sim_->reference_accuracy(smallest_fbnet()));
 }
 
 TEST_F(FbnetSimTest, CostScalesWithSize) {
-  EXPECT_GT(sim_->training_cost_hours(fbnet_big(), reference_scheme()),
-            2.0 * sim_->training_cost_hours(fbnet_small(), reference_scheme()));
+  EXPECT_GT(
+      sim_->training_cost_hours(uniform_fbnet(FbnetOp::kE6K5),
+                                reference_scheme()),
+      2.0 * sim_->training_cost_hours(smallest_fbnet(), reference_scheme()));
 }
 
 }  // namespace

@@ -3,16 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "anb/anb/space_sim.hpp"
 #include "anb/util/error.hpp"
+#include "arch_test_util.hpp"
 
 namespace anb {
 namespace {
 
-FbnetArchitecture all_op(FbnetOp op) {
-  FbnetArchitecture arch;
-  for (auto& o : arch.ops) o = op;
-  return arch;
+/// The string form of a per-layer op list.
+std::string ops_string(const std::vector<int>& ops) {
+  std::string out;
+  for (const int op : ops) {
+    if (!out.empty()) out += '-';
+    out += fbnet_op_name(static_cast<FbnetOp>(op));
+  }
+  return out;
 }
 
 TEST(FbnetSpaceTest, SlotTableStructure) {
@@ -38,17 +46,19 @@ TEST(FbnetSpaceTest, CardinalityAboutTenToTheSeventeen) {
 }
 
 TEST(FbnetSpaceTest, ValidationEnforcesSkipLegality) {
-  EXPECT_NO_THROW(FbnetSpace::from_ops(all_op(FbnetOp::kE6K5)));
-  const FbnetArchitecture all_skip = all_op(FbnetOp::kSkip);
+  const FbnetSpace& space = FbnetSpace::instance();
+  EXPECT_NO_THROW(uniform_fbnet(FbnetOp::kE6K5));
   // Strided layers can't skip.
-  EXPECT_THROW(FbnetSpace::from_ops(all_skip), Error);
+  EXPECT_THROW(uniform_fbnet(FbnetOp::kSkip), Error);
 
-  FbnetArchitecture legal_skip = all_op(FbnetOp::kE3K3);
-  legal_skip.ops[2] = FbnetOp::kSkip;  // a trailing stage-2 layer
-  EXPECT_TRUE(
-      FbnetSpace::instance().is_valid(FbnetSpace::from_ops(legal_skip)));
-  legal_skip.ops[1] = FbnetOp::kSkip;  // first (strided) layer of stage 2
-  EXPECT_THROW(FbnetSpace::from_ops(legal_skip), Error);
+  constexpr int kSkip = static_cast<int>(FbnetOp::kSkip);
+  std::vector<int> ops(kFbnetNumLayers, static_cast<int>(FbnetOp::kE3K3));
+  ops[2] = kSkip;  // a trailing stage-2 layer
+  EXPECT_TRUE(space.is_valid(space.from_decisions(ops)));
+  EXPECT_TRUE(space.is_valid(space.arch_from_string(ops_string(ops))));
+  ops[1] = kSkip;  // first (strided) layer of stage 2
+  EXPECT_THROW(space.from_decisions(ops), Error);
+  EXPECT_THROW(space.arch_from_string(ops_string(ops)), Error);
 }
 
 TEST(FbnetSpaceTest, SampleValidAndVaried) {
@@ -77,17 +87,17 @@ TEST(FbnetSpaceTest, MutateChangesOneLayer) {
 }
 
 TEST(FbnetSpaceTest, StringRoundTrip) {
+  const FbnetSpace& space = FbnetSpace::instance();
   Rng rng(3);
   for (int i = 0; i < 50; ++i) {
-    const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(rng));
-    EXPECT_EQ(FbnetArchitecture::from_string(arch.to_string()), arch);
+    const Arch arch = space.sample(rng);
+    EXPECT_EQ(space.arch_from_string(space.arch_to_string(arch)), arch);
   }
-  EXPECT_THROW(FbnetArchitecture::from_string("e1k3"), Error);
-  EXPECT_THROW(FbnetArchitecture::from_string("bogus-" +
-                                              all_op(FbnetOp::kE1K3)
-                                                  .to_string()
-                                                  .substr(5)),
-               Error);
+  EXPECT_THROW(space.arch_from_string("e1k3"), Error);
+  const std::string all_e1k3 =
+      space.arch_to_string(uniform_fbnet(FbnetOp::kE1K3));
+  EXPECT_THROW(space.arch_from_string("bogus-" + all_e1k3.substr(5)), Error);
+  EXPECT_THROW(space.arch_from_string(all_e1k3 + "-e1k3"), Error);
 }
 
 TEST(FbnetSpaceTest, FeaturesOneHot) {
@@ -173,10 +183,11 @@ TEST(FbnetSpaceContract, SkipLegalityHoldsThroughTheInterface) {
   // genotype decodes to a skip on a strided layer.
   Rng rng(32);
   for (int i = 0; i < 100; ++i) {
-    const FbnetArchitecture arch = FbnetSpace::to_ops(sp().sample(rng));
+    const Arch arch = sp().sample(rng);
     const auto& slots = FbnetSpace::slots();
     for (int l = 0; l < kFbnetNumLayers; ++l) {
-      if (arch.ops[static_cast<std::size_t>(l)] == FbnetOp::kSkip) {
+      if (arch.d[static_cast<std::size_t>(l)] ==
+          static_cast<int>(FbnetOp::kSkip)) {
         EXPECT_TRUE(slots[static_cast<std::size_t>(l)].skip_allowed) << l;
       }
     }
@@ -210,8 +221,12 @@ TEST(FbnetSpaceContract, FeaturesAreDeterministic) {
   }
 }
 
+ModelIR lower_fbnet(const Arch& arch, int resolution = 224) {
+  return make_space_sim(SpaceId::kFbnet)->lower(arch, resolution);
+}
+
 TEST(FbnetIrTest, LoweringShapesAndComplexity) {
-  const ModelIR big = build_fbnet_ir(all_op(FbnetOp::kE6K5), 224);
+  const ModelIR big = lower_fbnet(uniform_fbnet(FbnetOp::kE6K5));
   // Shapes chain (skip Scale side-path joins as in the MnasNet tests).
   for (std::size_t l = 1; l < big.layers.size(); ++l) {
     if (big.layers[l].kind == OpKind::kScale) continue;
@@ -219,14 +234,7 @@ TEST(FbnetIrTest, LoweringShapesAndComplexity) {
         << big.layers[l].name;
   }
   // FBNet-max ~ 800M MACs; minimal (max skips, e1k3 elsewhere) far smaller.
-  FbnetArchitecture minimal;
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    minimal.ops[static_cast<std::size_t>(i)] =
-        FbnetSpace::slots()[static_cast<std::size_t>(i)].skip_allowed
-            ? FbnetOp::kSkip
-            : FbnetOp::kE1K3;
-  }
-  const ModelIR small = build_fbnet_ir(minimal, 224);
+  const ModelIR small = lower_fbnet(smallest_fbnet());
   EXPECT_GT(big.total_macs(), 3 * small.total_macs());
   // Log-MAC bounds used by the simulator's size normalization.
   EXPECT_GT(std::log(static_cast<double>(small.total_macs())), 17.4);
@@ -234,18 +242,22 @@ TEST(FbnetIrTest, LoweringShapesAndComplexity) {
 }
 
 TEST(FbnetIrTest, SkipContributesNothing) {
-  FbnetArchitecture base = all_op(FbnetOp::kE3K3);
-  FbnetArchitecture skipped = base;
-  skipped.ops[3] = FbnetOp::kSkip;
-  const ModelIR a = build_fbnet_ir(base, 224);
-  const ModelIR b = build_fbnet_ir(skipped, 224);
+  std::vector<int> ops(kFbnetNumLayers, static_cast<int>(FbnetOp::kE3K3));
+  const ModelIR a = lower_fbnet(FbnetSpace::instance().from_decisions(ops));
+  ops[3] = static_cast<int>(FbnetOp::kSkip);
+  const ModelIR b = lower_fbnet(FbnetSpace::instance().from_decisions(ops));
   EXPECT_LT(b.total_macs(), a.total_macs());
   EXPECT_LT(b.layers.size(), a.layers.size());
 }
 
 TEST(FbnetIrTest, InvalidInputsThrow) {
-  EXPECT_THROW(build_fbnet_ir(all_op(FbnetOp::kSkip), 224), Error);
-  EXPECT_THROW(build_fbnet_ir(all_op(FbnetOp::kE3K3), 8), Error);
+  // A skip forged onto every layer, past validation.
+  Arch all_skip = uniform_fbnet(FbnetOp::kE3K3);
+  for (int i = 0; i < kFbnetNumLayers; ++i)
+    all_skip.d[static_cast<std::size_t>(i)] =
+        static_cast<std::int8_t>(FbnetOp::kSkip);
+  EXPECT_THROW(lower_fbnet(all_skip), Error);
+  EXPECT_THROW(lower_fbnet(uniform_fbnet(FbnetOp::kE3K3), 8), Error);
 }
 
 }  // namespace

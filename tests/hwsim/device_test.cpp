@@ -7,15 +7,10 @@
 #include "anb/util/error.hpp"
 #include "anb/util/metrics.hpp"
 #include "anb/util/rng.hpp"
+#include "arch_test_util.hpp"
 
 namespace anb {
 namespace {
-
-Architecture uniform_arch(int e, int k, int L, bool se) {
-  Architecture a;
-  for (auto& b : a.blocks) b = BlockConfig{e, k, L, se};
-  return a;
-}
 
 TEST(DeviceTest, CatalogHasSixPlatforms) {
   const auto devices = device_catalog();
@@ -65,13 +60,13 @@ TEST(DeviceTest, OnlyFpgasReportLatency) {
   EXPECT_FALSE(device_supports_latency(DeviceKind::kA100));
   EXPECT_FALSE(device_supports_latency(DeviceKind::kTpuV3));
 
-  const ModelIR ir = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR ir = lower_mnas(effnet_b0_like().arch);
   EXPECT_THROW(make_device(DeviceKind::kA100).measure_latency(ir, 1), Error);
   EXPECT_NO_THROW(make_device(DeviceKind::kZcu102).measure_latency(ir, 1));
 }
 
 TEST(DeviceTest, ThroughputMagnitudesRealistic) {
-  const ModelIR b0 = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR b0 = lower_mnas(effnet_b0_like().arch);
   struct Expect {
     DeviceKind kind;
     double lo, hi;
@@ -90,7 +85,7 @@ TEST(DeviceTest, ThroughputMagnitudesRealistic) {
 }
 
 TEST(DeviceTest, FpgaLatencyMilliseconds) {
-  const ModelIR b0 = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR b0 = lower_mnas(effnet_b0_like().arch);
   const double zcu = make_device(DeviceKind::kZcu102).latency_ms(b0);
   const double vck = make_device(DeviceKind::kVck190).latency_ms(b0);
   EXPECT_GT(zcu, 1.0);
@@ -101,8 +96,8 @@ TEST(DeviceTest, FpgaLatencyMilliseconds) {
 }
 
 TEST(DeviceTest, BiggerModelIsSlower) {
-  const ModelIR small = build_ir(uniform_arch(1, 3, 1, false), 224);
-  const ModelIR big = build_ir(uniform_arch(6, 5, 3, true), 224);
+  const ModelIR small = lower_mnas(uniform_mnas(1, 3, 1, false));
+  const ModelIR big = lower_mnas(uniform_mnas(6, 5, 3, true));
   for (const auto& device : device_catalog()) {
     EXPECT_GT(device.throughput_fps(small), device.throughput_fps(big))
         << device.name();
@@ -112,8 +107,8 @@ TEST(DeviceTest, BiggerModelIsSlower) {
 TEST(DeviceTest, SeHurtsDpuMoreThanGpu) {
   // The EdgeTPU/DPU story: SE's global-pool side path stalls the systolic
   // pipeline, so adding SE costs FPGAs a larger throughput fraction.
-  const ModelIR no_se = build_ir(uniform_arch(6, 3, 2, false), 224);
-  const ModelIR with_se = build_ir(uniform_arch(6, 3, 2, true), 224);
+  const ModelIR no_se = lower_mnas(uniform_mnas(6, 3, 2, false));
+  const ModelIR with_se = lower_mnas(uniform_mnas(6, 3, 2, true));
   const Device zcu = make_device(DeviceKind::kZcu102);
   const Device a100 = make_device(DeviceKind::kA100);
   const double dpu_ratio =
@@ -132,7 +127,7 @@ TEST(DeviceTest, DeviceRankingsDiverge) {
   const Device zcu = make_device(DeviceKind::kZcu102);
   const Device tpu = make_device(DeviceKind::kTpuV3);
   for (int i = 0; i < 150; ++i) {
-    const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+    const ModelIR ir = lower_mnas(MnasSpace::instance().sample(rng));
     zcu_thr.push_back(zcu.throughput_fps(ir));
     tpu_thr.push_back(tpu.throughput_fps(ir));
     inv_flops.push_back(1.0 / ir.gflops());
@@ -143,7 +138,7 @@ TEST(DeviceTest, DeviceRankingsDiverge) {
 }
 
 TEST(DeviceTest, MeasurementNoiseSmallAndUnbiased) {
-  const ModelIR ir = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR ir = lower_mnas(effnet_b0_like().arch);
   for (const auto& device : device_catalog()) {
     const double expected = device.throughput_fps(ir);
     double acc = 0.0;
@@ -155,7 +150,7 @@ TEST(DeviceTest, MeasurementNoiseSmallAndUnbiased) {
 }
 
 TEST(DeviceTest, MeasurementDeterministicPerSeed) {
-  const ModelIR ir = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR ir = lower_mnas(effnet_b0_like().arch);
   const Device dev = make_device(DeviceKind::kRtx3090);
   EXPECT_DOUBLE_EQ(dev.measure_throughput(ir, 5),
                    dev.measure_throughput(ir, 5));
@@ -163,7 +158,7 @@ TEST(DeviceTest, MeasurementDeterministicPerSeed) {
 }
 
 TEST(DeviceTest, ThroughputConsistentWithBatchTime) {
-  const ModelIR ir = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR ir = lower_mnas(effnet_b0_like().arch);
   for (const auto& device : device_catalog()) {
     const double t = device.batch_time_s(ir, device.spec().measure_batch);
     const double expected =
@@ -174,7 +169,7 @@ TEST(DeviceTest, ThroughputConsistentWithBatchTime) {
 
 TEST(DeviceTest, BatchingAmortizesOverheads) {
   // Per-image time at batch N is below batch-1 time on batched devices.
-  const ModelIR ir = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR ir = lower_mnas(effnet_b0_like().arch);
   const Device a100 = make_device(DeviceKind::kA100);
   const double t1 = a100.batch_time_s(ir, 1);
   const double t128 = a100.batch_time_s(ir, 128) / 128.0;
@@ -182,7 +177,7 @@ TEST(DeviceTest, BatchingAmortizesOverheads) {
 }
 
 TEST(DeviceTest, InvalidArgumentsThrow) {
-  const ModelIR ir = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR ir = lower_mnas(effnet_b0_like().arch);
   const Device dev = make_device(DeviceKind::kA100);
   EXPECT_THROW(dev.batch_time_s(ir, 0), Error);
   ModelIR empty;
@@ -197,7 +192,7 @@ class DeviceProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(DeviceProperty, AllMeasurementsPositiveFinite) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 1200);
-  const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+  const ModelIR ir = lower_mnas(MnasSpace::instance().sample(rng));
   for (const auto& device : device_catalog()) {
     const double thr = device.measure_throughput(ir, 99);
     EXPECT_TRUE(std::isfinite(thr));

@@ -4,18 +4,13 @@
 #include "anb/searchspace/space.hpp"
 #include "anb/searchspace/zoo.hpp"
 #include "anb/util/rng.hpp"
+#include "arch_test_util.hpp"
 
 namespace anb {
 namespace {
 
-Architecture uniform_arch(int e, int k, int L, bool se) {
-  Architecture a;
-  for (auto& b : a.blocks) b = BlockConfig{e, k, L, se};
-  return a;
-}
-
 TEST(EnergyTest, PositiveFiniteOnAllDevices) {
-  const ModelIR b0 = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR b0 = lower_mnas(effnet_b0_like().arch);
   for (const auto& device : device_catalog()) {
     const double mj = device.energy_mj_per_image(b0);
     EXPECT_TRUE(std::isfinite(mj)) << device.name();
@@ -26,7 +21,7 @@ TEST(EnergyTest, PositiveFiniteOnAllDevices) {
 TEST(EnergyTest, PlausibleMagnitudesForB0) {
   // EfficientNet-B0-class inference: edge accelerators a few mJ to tens of
   // mJ per image, datacenter parts tens to hundreds.
-  const ModelIR b0 = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR b0 = lower_mnas(effnet_b0_like().arch);
   const double zcu = make_device(DeviceKind::kZcu102).energy_mj_per_image(b0);
   const double a100 = make_device(DeviceKind::kA100).energy_mj_per_image(b0);
   EXPECT_GT(zcu, 1.0);
@@ -38,14 +33,14 @@ TEST(EnergyTest, PlausibleMagnitudesForB0) {
 TEST(EnergyTest, EdgeDpuMoreEfficientThanGpu) {
   // Per-image energy: int8 DPU at the edge beats a datacenter GPU on this
   // model class — the reason accelerator-aware search matters for edge.
-  const ModelIR b0 = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR b0 = lower_mnas(effnet_b0_like().arch);
   EXPECT_LT(make_device(DeviceKind::kVck190).energy_mj_per_image(b0),
             make_device(DeviceKind::kA100).energy_mj_per_image(b0));
 }
 
 TEST(EnergyTest, MonotoneInModelSize) {
-  const ModelIR small = build_ir(uniform_arch(1, 3, 1, false), 224);
-  const ModelIR big = build_ir(uniform_arch(6, 5, 3, true), 224);
+  const ModelIR small = lower_mnas(uniform_mnas(1, 3, 1, false));
+  const ModelIR big = lower_mnas(uniform_mnas(6, 5, 3, true));
   for (const auto& device : device_catalog()) {
     EXPECT_GT(device.energy_mj_per_image(big),
               device.energy_mj_per_image(small))
@@ -54,7 +49,7 @@ TEST(EnergyTest, MonotoneInModelSize) {
 }
 
 TEST(EnergyTest, MeasurementProtocolApplies) {
-  const ModelIR b0 = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR b0 = lower_mnas(effnet_b0_like().arch);
   const Device dev = make_device(DeviceKind::kZcu102);
   const double expected = dev.energy_mj_per_image(b0);
   EXPECT_DOUBLE_EQ(dev.measure_energy(b0, 3), dev.measure_energy(b0, 3));
@@ -72,7 +67,7 @@ TEST(EnergyTest, StaticPlusSwitchingStructure) {
   const Device dev = make_device(DeviceKind::kA100);
   double min_share = 1.0, max_share = 0.0;
   for (int i = 0; i < 40; ++i) {
-    const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+    const ModelIR ir = lower_mnas(MnasSpace::instance().sample(rng));
     const int batch = dev.spec().measure_batch;
     const double static_mj = dev.spec().idle_power_w *
                              dev.batch_time_s(ir, batch) /

@@ -2,6 +2,7 @@
 
 #include "anb/hwsim/device.hpp"
 #include "anb/searchspace/zoo.hpp"
+#include "arch_test_util.hpp"
 
 namespace anb {
 namespace {
@@ -71,7 +72,7 @@ TEST_P(DeviceSpecInvariants, Int8OnlyOnDpus) {
 TEST_P(DeviceSpecInvariants, LatencyThroughputConsistency) {
   // Throughput can exceed 1/latency only via batching or multiple cores.
   const Device dev = device();
-  const ModelIR ir = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR ir = lower_mnas(effnet_b0_like().arch);
   const double thr = dev.throughput_fps(ir);
   const double single_stream = 1e3 / dev.latency_ms(ir);
   const double parallelism =
@@ -85,7 +86,7 @@ TEST_P(DeviceSpecInvariants, EnergyBudgetConsistent) {
   // configured idle power (it is amortized into every image) and within a
   // plausible multiple of it (no perpetua mobilia in either direction).
   const Device dev = device();
-  const ModelIR ir = build_ir(effnet_b0_like().arch, 224);
+  const ModelIR ir = lower_mnas(effnet_b0_like().arch);
   const double watts =
       dev.energy_mj_per_image(ir) * 1e-3 * dev.throughput_fps(ir);
   EXPECT_GT(watts, dev.spec().idle_power_w * 0.9);

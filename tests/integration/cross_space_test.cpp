@@ -15,6 +15,11 @@
 //  3. The SpaceSim contract per space: every make_space_sim output on six
 //     sampled genotypes matches a committed table of exact bit patterns,
 //     and every method rejects a genotype of the other space.
+//  4. A simulator checksum per space: the bits of every value the pipeline
+//     reads from the simulator (training run, reference accuracy, int8
+//     drop, every lowered layer at two resolutions) over 256 genotypes,
+//     folded into one pinned u64. It catches what six rows can miss, such
+//     as a reordered floating-point sum in the latent quality.
 
 #include <gtest/gtest.h>
 
@@ -55,10 +60,10 @@ class Checksum {
   explicit Checksum(const SearchSpace& sp) : sp_(sp) {}
   void add_arch(const Arch& arch) { mix(sp_.to_index(arch)); }
   void add_value(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+  void mix(std::uint64_t x) { h_ = hash_combine(h_, x); }
   std::uint64_t value() const { return h_; }
 
  private:
-  void mix(std::uint64_t x) { h_ = hash_combine(h_, x); }
   const SearchSpace& sp_;
   std::uint64_t h_ = 0x9E3779B97F4A7C15ULL;
 };
@@ -234,6 +239,48 @@ TEST_P(SpaceSimContract, MatchesGoldenAndRejectsOtherSpace) {
   EXPECT_THROW(sim->training_cost_hours(foreign, p), Error);
   EXPECT_THROW(sim->int8_accuracy_drop(foreign), Error);
   EXPECT_THROW(sim->lower(foreign, 224), Error);
+}
+
+/// Folds, for 256 genotypes (Rng(256) draws), the bits of: a training run
+/// under the reference scheme (top1, gpu_hours), reference_accuracy,
+/// int8_accuracy_drop, and every field of every layer of lower(arch, 224)
+/// and lower(arch, 160) except its name.
+std::uint64_t sim_checksum(const SpaceSim& sim) {
+  Checksum sum(sim.space());
+  Rng rng(256);
+  for (int i = 0; i < 256; ++i) {
+    const Arch arch = sim.space().sample(rng);
+    const TrainResult run = sim.train(arch, reference_scheme(), 0);
+    sum.add_value(run.top1);
+    sum.add_value(run.gpu_hours);
+    sum.add_value(sim.reference_accuracy(arch));
+    sum.add_value(sim.int8_accuracy_drop(arch));
+    for (const int resolution : {224, 160}) {
+      const ModelIR ir = sim.lower(arch, resolution);
+      sum.mix(ir.layers.size());
+      for (const Layer& l : ir.layers) {
+        sum.mix(static_cast<std::uint64_t>(l.kind));
+        for (const int dim : {l.in_h, l.in_w, l.in_c, l.out_h, l.out_w,
+                              l.out_c, l.kernel, l.stride})
+          sum.mix(static_cast<std::uint64_t>(dim));
+        for (const std::uint64_t count : {l.macs, l.params, l.input_elems,
+                                          l.output_elems, l.weight_elems})
+          sum.mix(count);
+      }
+    }
+  }
+  return sum.value();
+}
+
+TEST_P(SpaceSimContract, ChecksumOver256Genotypes) {
+  // Regenerate by pasting the "actual" value from the failure output.
+  const std::map<SpaceId, std::uint64_t> golden = {
+      {SpaceId::kMnasNet, 0x47161fe75e27bdbfULL},
+      {SpaceId::kFbnet, 0x58fa8d440be40dedULL},
+  };
+  const std::uint64_t actual = sim_checksum(*make_space_sim(GetParam(), 42));
+  EXPECT_EQ(actual, golden.at(GetParam())) << "actual 0x" << std::hex
+                                           << actual;
 }
 
 INSTANTIATE_TEST_SUITE_P(BothSpaces, SpaceSimContract,

@@ -28,9 +28,8 @@ const SearchSpace& sp() { return MnasSpace::instance(); }
 
 /// Deterministic synthetic objective (no surrogate, no RNG).
 double synthetic_objective(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
   double score = 0.0;
-  for (const auto& blk : arch.blocks) {
+  for (const auto& blk : MnasSpace::blocks(genotype)) {
     score += blk.expansion == 6 ? 1.0 : 0.0;
     score += blk.se ? 0.5 : 0.0;
     score += 0.2 * blk.layers + (blk.kernel == 5 ? 0.1 : 0.0);

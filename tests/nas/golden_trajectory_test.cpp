@@ -30,9 +30,8 @@ const SearchSpace& sp() { return MnasSpace::instance(); }
 
 /// Deterministic objective over exact binary fractions (see header note).
 double golden_objective(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
   double score = 0.0;
-  for (const auto& blk : arch.blocks) {
+  for (const auto& blk : MnasSpace::blocks(genotype)) {
     score += blk.expansion == 6 ? 1.0 : 0.0;
     score += blk.se ? 0.5 : 0.0;
     score += 0.25 * blk.layers + (blk.kernel == 5 ? 0.125 : 0.0);
@@ -43,9 +42,8 @@ double golden_objective(const Arch& genotype) {
 /// Second objective for the bi-objective run: prefers shallow, narrow
 /// models (a stand-in for -latency), also an exact binary fraction.
 double golden_objective2(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
   double score = 0.0;
-  for (const auto& blk : arch.blocks) {
+  for (const auto& blk : MnasSpace::blocks(genotype)) {
     score -= 0.5 * blk.layers + (blk.expansion == 6 ? 1.0 : 0.0) +
              (blk.se ? 0.25 : 0.0);
   }

@@ -13,13 +13,13 @@ namespace {
 /// Synthetic conflicting objectives: "accuracy" rewards capacity,
 /// "speed" rewards its absence — a clean trade-off with a wide front.
 std::pair<double, double> conflicting_objectives(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
+  const auto blocks = MnasSpace::blocks(genotype);
   double capacity = 0.0;
-  for (const auto& blk : arch.blocks) {
+  for (const auto& blk : blocks) {
     capacity += blk.expansion + 2.0 * blk.layers + (blk.se ? 1.5 : 0.0) +
                 (blk.kernel == 5 ? 0.7 : 0.0);
   }
-  return {capacity, 120.0 - capacity + 0.3 * arch.blocks[0].layers};
+  return {capacity, 120.0 - capacity + 0.3 * blocks[0].layers};
 }
 
 TEST(Nsga2Test, RanksMatchDominationDefinition) {

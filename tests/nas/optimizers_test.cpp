@@ -14,9 +14,8 @@ const SearchSpace& sp() { return MnasSpace::instance(); }
 
 /// Deterministic synthetic objective: rewards expansion-6 + SE + depth.
 double synthetic_objective(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
   double score = 0.0;
-  for (const auto& blk : arch.blocks) {
+  for (const auto& blk : MnasSpace::blocks(genotype)) {
     score += blk.expansion == 6 ? 1.0 : (blk.expansion == 4 ? 0.5 : 0.0);
     score += blk.se ? 0.5 : 0.0;
     score += 0.2 * blk.layers;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "anb/anb/space_sim.hpp"
 #include "anb/util/error.hpp"
 
 namespace anb {
@@ -12,12 +14,14 @@ namespace {
 /// Synthetic budgeted oracle: true quality + noise that shrinks with epochs;
 /// cost proportional to epochs.
 BudgetedOracle synthetic_oracle() {
+  static const std::unique_ptr<SpaceSim> sim =
+      make_space_sim(SpaceId::kMnasNet);
   return [](const Arch& genotype, int epochs) {
-    const Architecture arch = MnasSpace::to_blocks(genotype);
     double quality = 0.0;
-    for (const auto& blk : arch.blocks)
+    for (const auto& blk : MnasSpace::blocks(genotype))
       quality += blk.expansion * 0.1 + blk.layers * 0.05 + (blk.se ? 0.1 : 0);
-    Rng noise(hash_combine(arch.hash(), static_cast<std::uint64_t>(epochs)));
+    Rng noise(hash_combine(sim->seed_hash(genotype),
+                           static_cast<std::uint64_t>(epochs)));
     BudgetedEval eval;
     eval.accuracy = quality + noise.normal() * (0.5 / std::sqrt(epochs));
     eval.cost_hours = epochs * 0.01;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "anb/util/error.hpp"
+#include "arch_test_util.hpp"
 
 namespace anb {
 namespace {
@@ -40,22 +42,50 @@ TEST(SearchSpaceTest, ValidationAcceptsAllOptionCombos) {
     for (int k : MnasSpace::kernel_options())
       for (int L : MnasSpace::layer_options())
         for (bool se : {false, true}) {
-          Architecture a;
-          for (auto& b : a.blocks) b = BlockConfig{e, k, L, se};
-          EXPECT_TRUE(sp().is_valid(MnasSpace::from_blocks(a)));
+          const Arch a = uniform_mnas(e, k, L, se);
+          EXPECT_TRUE(sp().is_valid(a));
+          for (const BlockConfig& blk : MnasSpace::blocks(a))
+            EXPECT_EQ(blk, (BlockConfig{e, k, L, se}));
         }
 }
 
 TEST(SearchSpaceTest, ValidationRejectsBadOptions) {
-  Architecture a;  // default valid
-  a.blocks[0].expansion = 3;
-  EXPECT_THROW(MnasSpace::from_blocks(a), Error);
-  a.blocks[0].expansion = 1;
-  a.blocks[2].kernel = 7;
-  EXPECT_THROW(MnasSpace::from_blocks(a), Error);
-  a.blocks[2].kernel = 3;
-  a.blocks[6].layers = 4;
-  EXPECT_THROW(MnasSpace::from_blocks(a), Error);
+  const std::string rest =
+      "-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0";
+  EXPECT_NO_THROW(sp().arch_from_string("e1k3L1s0" + rest));
+  EXPECT_THROW(sp().arch_from_string("e3k3L1s0" + rest), Error);
+  EXPECT_THROW(sp().arch_from_string("e1k7L1s0" + rest), Error);
+  EXPECT_THROW(sp().arch_from_string("e1k3L4s0" + rest), Error);
+}
+
+TEST(SearchSpaceTest, StringFormat) {
+  const std::string s = sp().arch_to_string(uniform_mnas(6, 5, 3, true));
+  EXPECT_EQ(s.substr(0, 8), "e6k5L3s1");
+  // 7 groups separated by dashes.
+  EXPECT_EQ(std::count(s.begin(), s.end(), '-'), 6);
+}
+
+TEST(SearchSpaceTest, StringRoundTrip) {
+  Rng rng(3);
+  for (int i = 0; i < 50; ++i) {
+    const Arch a = sp().sample(rng);
+    EXPECT_EQ(sp().arch_from_string(sp().arch_to_string(a)), a);
+  }
+}
+
+TEST(SearchSpaceTest, StringRejectsMalformed) {
+  EXPECT_THROW(sp().arch_from_string(""), Error);
+  EXPECT_THROW(sp().arch_from_string("e6k5L3s1"), Error);  // one block
+  EXPECT_THROW(sp().arch_from_string("garbage-in-seven-pieces-x-y-z"), Error);
+  // Eight blocks.
+  const std::string eight =
+      "e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-"
+      "e1k3L1s0";
+  EXPECT_THROW(sp().arch_from_string(eight), Error);
+  // Bad se flag.
+  const std::string bad_se =
+      "e1k3L1s2-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0";
+  EXPECT_THROW(sp().arch_from_string(bad_se), Error);
 }
 
 TEST(SearchSpaceTest, ValidationRejectsForeignGenotypes) {
@@ -88,8 +118,7 @@ TEST(SearchSpaceTest, SampleMarginalsRoughlyUniform) {
   int e_counts[3] = {0, 0, 0};
   const int n = 30000;
   for (int i = 0; i < n; ++i) {
-    const Architecture a = MnasSpace::to_blocks(sp().sample(rng));
-    for (const auto& b : a.blocks) {
+    for (const auto& b : MnasSpace::blocks(sp().sample(rng))) {
       if (b.expansion == 1) ++e_counts[0];
       if (b.expansion == 4) ++e_counts[1];
       if (b.expansion == 6) ++e_counts[2];
@@ -163,12 +192,24 @@ TEST(SearchSpaceTest, FromDecisionsValidatesShape) {
   EXPECT_THROW(sp().from_decisions(decisions), Error);
 }
 
-TEST(SearchSpaceTest, BlockConversionRoundTrips) {
+TEST(SearchSpaceTest, BlocksDecodeTheDecisionLayout) {
   Rng rng(12);
   for (int i = 0; i < 100; ++i) {
     const Arch a = sp().sample(rng);
-    EXPECT_EQ(MnasSpace::from_blocks(MnasSpace::to_blocks(a)), a);
+    const auto blocks = MnasSpace::blocks(a);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      const auto option = [&](std::size_t field) {
+        return static_cast<std::size_t>(a.d[4 * b + field]);
+      };
+      EXPECT_EQ(blocks[b].expansion, MnasSpace::expansion_options()[option(0)]);
+      EXPECT_EQ(blocks[b].kernel, MnasSpace::kernel_options()[option(1)]);
+      EXPECT_EQ(blocks[b].layers, MnasSpace::layer_options()[option(2)]);
+      EXPECT_EQ(blocks[b].se, option(3) == 1);
+    }
   }
+  Arch foreign = sp().sample(rng);
+  foreign.space = SpaceId::kFbnet;
+  EXPECT_THROW(MnasSpace::blocks(foreign), Error);
 }
 
 TEST(SearchSpaceTest, FeaturesOneHotStructure) {

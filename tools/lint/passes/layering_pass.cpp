@@ -25,13 +25,13 @@ const std::map<std::string, std::set<std::string>, std::less<>>& allowed() {
           {"obs", {}},
           {"util", {"obs"}},
           {"searchspace", {"util", "obs"}},
-          {"ir", {"searchspace", "util", "obs"}},
-          {"hwsim", {"ir", "searchspace", "util", "obs"}},
+          {"ir", {"util", "obs"}},
+          {"hwsim", {"ir", "util", "obs"}},
           {"trainsim", {"util", "obs"}},
           {"surrogate", {"util", "obs"}},
           {"hpo", {"surrogate", "util", "obs"}},
           {"nas", {"searchspace", "util", "obs"}},
-          {"fbnet", {"ir", "searchspace", "util", "obs"}},
+          {"fbnet", {"searchspace", "util", "obs"}},
           // Space-registry edges: fbnet (the FBNet space implementation)
           // is reachable only from the pipeline layers that resolve spaces
           // (anb, serve) — never from util/obs/searchspace, which must stay
